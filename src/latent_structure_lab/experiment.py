@@ -48,6 +48,13 @@ from .simulate import (
 
 BIT_CASES = ("c0", "c0p", "c13", "c123", "c1", "c12")
 
+# case12 candidates scored per worker CPU-second, which check_search_cost
+# prices a refused search at. The V=12 marginal-scorer sweep of
+# benchmarks/run.py (workload search_case12_v12, 2 cores, Python 3.11,
+# numpy 2.4) scored 1.8M-1.9M per worker CPU-second; the earlier price of
+# 3e5/s overstated worker-hours about 6x.
+CASE12_SCORINGS_PER_WORKER_S = 1.8e6
+
 
 class ExpensiveSearchError(RuntimeError):
     """A search case was requested at a scale that needs explicit opt-in."""
@@ -312,9 +319,10 @@ def check_search_cost(spec: ExperimentSpec, allow_expensive: bool) -> None:
         return
     n_cp = len(spec.search.checkpoints or _curve_checkpoints(spec))
     total = count * n_cp * spec.n_runs
+    hours = total / CASE12_SCORINGS_PER_WORKER_S / 3600
     raise ExpensiveSearchError(
         f"case c12 would score {count:,} candidates at {n_cp} checkpoints over "
-        f"{spec.n_runs} run(s) (~{total:,} scorings, roughly {total / 3e5 / 3600:.1f} "
+        f"{spec.n_runs} run(s) (~{total:,} scorings, roughly {hours:.1f} "
         f"worker-hours); pass allow_expensive to run it anyway"
     )
 

@@ -22,11 +22,16 @@ permutation minor. Enumeration, scoring, and the parallel top-k reduction
 are all pure functions of (dataset, config), so results are identical for
 any worker count.
 
-In case1 mode there is no assignment; whole-group order is the only
-quotient (count V!/G!), with groups canonically ordered so that each group
-contains the smallest variable not used by earlier groups. Within-group
-order stays significant: for repeated-type hypotheses the slot
-correspondence across groups is part of the model.
+In case1 mode there is no assignment and no type is shared, so neither the
+case1 scorers nor `estimate_from_candidate` read slot order within a group
+or the order of the groups: a hypothesis is a set partition of the V
+variables into G groups of S. The canonical form sorts each group and
+orders groups by their smallest variable, giving
+prod_j C(V - j*S - 1, S - 1) = V!/(G! * (S!)**G) candidates. Group j is the
+pool's smallest unused variable plus an (S-1)-subset of the rest, which are
+exactly the first C(n-1, S-1) lexicographic S-subsets of the n-variable
+pool, so case1 ranks walk the same combination tables as case12 with a
+smaller radix.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ def _perm_count(n: int, k: int) -> int:
 def candidate_count(cfg: SearchConfig) -> int:
     """Size of the canonical candidate space for this configuration."""
     if cfg.mode == "case1":
-        count = math.factorial(cfg.v) // math.factorial(cfg.g)
+        count = math.prod(_case1_radices(cfg.v, cfg.g, cfg.s))
     else:
         t = cfg.num_types
         count = (t**cfg.g * math.factorial(cfg.v)) // (
@@ -223,22 +228,22 @@ def _case12_groups_for_subrank(
     return groups
 
 
+def _case1_radices(v: int, g: int, s: int) -> list[int]:
+    """Per level j: sorted S-subsets of the v - j*s unused variables that hold the smallest."""
+    return [math.comb(v - j * s - 1, s - 1) for j in range(g)]
+
+
 def _case1_groups_for_rank(v: int, g: int, s: int, rank: int) -> list[tuple[int, ...]]:
     pool = list(range(v))
-    radices = [s * _perm_count(v - j * s - 1, s - 1) for j in range(g)]
-    place = 1
-    for rad in radices:
-        place *= rad
+    radices = _case1_radices(v, g, s)
+    place = math.prod(radices)
     groups: list[tuple[int, ...]] = []
     rem = rank
     for j in range(g):
         place //= radices[j]
         digit, rem = divmod(rem, place)
-        sub = _perm_count(len(pool) - 1, s - 1)
-        pos, arr_rank = divmod(digit, sub)
-        anchor = pool[0]
-        arranged, pool = _unrank_arrangement(pool[1:], s - 1, arr_rank)
-        groups.append(tuple(arranged[:pos] + [anchor] + arranged[pos:]))
+        grp, pool = _unrank_combination(pool, s, digit)
+        groups.append(tuple(grp))
     return groups
 
 
@@ -264,18 +269,11 @@ def candidate_rank(cfg: SearchConfig, candidate: Candidate) -> int:
     if cfg.mode == "case1":
         pool = list(range(cfg.v))
         rank = 0
-        for grp in slots:
-            sub = _perm_count(len(pool) - 1, cfg.s - 1)
-            anchor = pool[0]
-            if anchor not in grp:
+        for grp, radix in zip(slots, _case1_radices(cfg.v, cfg.g, cfg.s)):
+            if list(grp) != sorted(grp) or grp[0] != pool[0]:
                 raise ValueError("candidate is not in canonical form")
-            pos = grp.index(anchor)
-            rest = [x for x in grp if x != anchor]
-            rest_pool = pool[1:]
-            digit = pos * sub + _arrangement_rank(rest_pool, rest)
-            radix = cfg.s * sub
-            rank = rank * radix + digit
-            pool = [x for x in rest_pool if x not in grp]
+            rank = rank * radix + _rank_combination(pool, grp)
+            pool = [x for x in pool if x not in grp]
         return rank
     labels = candidate.assignment
     if labels is None or labels[0] != "a":
@@ -325,10 +323,11 @@ def canonicalize_candidate(cfg: SearchConfig, candidate: Candidate) -> Candidate
     Applies the type-label swap and the per-type simultaneous within-group
     reorderings. For single-label case12 patterns the second positional pin
     is enforced on group 1 alone; that move is a formal tie-down of the
-    enumeration slice rather than a score-preserving symmetry.
+    enumeration slice rather than a score-preserving symmetry. In case1 mode
+    it sorts each group and orders the groups by their smallest variable.
     """
     if cfg.mode == "case1":
-        groups = sorted(candidate.grouping.slots, key=min)
+        groups = sorted(tuple(sorted(grp)) for grp in candidate.grouping.slots)
         return Candidate(Grouping(tuple(groups)), None)
     labels = list(candidate.assignment or ())
     if len(labels) != cfg.g:
@@ -436,11 +435,13 @@ def score_candidate_marginal(patterns: Sequence[int], candidate: Candidate, cfg:
 
 
 class _ScoreContext:
-    """Per-dataset tables: one tally row per ordered S-tuple of variables.
+    """Per-dataset tables: one tally row per S-tuple of variables.
 
-    A candidate's pooled tallies are sums of precomputed tuple rows, and the
-    per-observation log terms reduce to a table lookup, so scoring a batch
-    of candidates is a handful of vectorized gathers.
+    The tuples are ordered for case12 and sorted for case1, whose candidates
+    hold sorted groups only. A candidate's pooled tallies are sums of
+    precomputed tuple rows, and the per-observation log terms reduce to a
+    table lookup, so scoring a batch of candidates is a handful of
+    vectorized gathers.
     """
 
     def __init__(self, patterns: Sequence[int], cfg: SearchConfig):
@@ -448,10 +449,11 @@ class _ScoreContext:
         self.n = len(patterns)
         v, s = cfg.v, cfg.s
         cell = 1 << s
-        n_tuples = _perm_count(v, s)
+        case12 = cfg.mode == "case12"
+        n_tuples = _perm_count(v, s) if case12 else math.comb(v, s)
         if n_tuples * cell > _MAX_TUPLE_TABLE:
             raise CapacityError(f"tuple tally table would need {n_tuples * cell} cells")
-        self.tables = _enum_tables(v, cfg.g, s)
+        self.tables = _enum_tables(v, cfg.g, s, arrangements=case12)
         arr = np.asarray(patterns, dtype=np.int64)
         shifts = v - 1 - np.arange(v)
         bits = ((arr[None, :] >> shifts[:, None]) & 1).astype(np.int64)
@@ -496,20 +498,22 @@ class _EnumTables:
 
     A level-j state is the set of variables still unused after j groups,
     indexed within the sorted list of such sets. For each state and digit
-    the tables give the chosen group's ordered-tuple id and the next state,
-    so unranking a whole batch of ranks reduces to per-level 2-d gathers.
+    the tables give the chosen group's tuple id and the next state, so
+    unranking a whole batch of ranks reduces to per-level 2-d gathers.
+    Ordered tuples and the arrangement tables are built only when
+    `arrangements` is set (case12); case1 needs sorted tuples and the
+    combination tables alone.
     """
 
-    def __init__(self, v: int, g: int, s: int):
+    def __init__(self, v: int, g: int, s: int, arrangements: bool):
         self.v, self.g, self.s = v, g, s
-        self.tuples = list(itertools.permutations(range(v), s))
+        tuples = itertools.permutations if arrangements else itertools.combinations
+        self.tuples = list(tuples(range(v), s))
         self.tuple_index = {tup: i for i, tup in enumerate(self.tuples)}
         self.comb_radix = [math.comb(v - j * s, s) for j in range(g)]
         self.arr_radix = [_perm_count(v - j * s, s) for j in range(g)]
-        self.anchored_radix = [s * _perm_count(v - j * s - 1, s - 1) for j in range(g)]
         self.comb: list[tuple[np.ndarray, np.ndarray]] = []
         self.arr: list[tuple[np.ndarray, np.ndarray]] = []
-        self.anchored: list[tuple[np.ndarray, np.ndarray]] = []
 
         states: list[tuple[int, ...]] = [tuple(range(v))]
         for j in range(g):
@@ -521,29 +525,19 @@ class _EnumTables:
             n_states = len(states)
             comb_id = np.empty((n_states, self.comb_radix[j]), dtype=np.int32)
             comb_next = np.empty_like(comb_id)
-            arr_id = np.empty((n_states, self.arr_radix[j]), dtype=np.int32)
-            arr_next = np.empty_like(arr_id)
-            anch_id = np.empty((n_states, self.anchored_radix[j]), dtype=np.int32)
-            anch_next = np.empty_like(anch_id)
             for si, pool in enumerate(states):
                 for r, grp in enumerate(itertools.combinations(pool, s)):
                     comb_id[si, r] = self.tuple_index[grp]
                     comb_next[si, r] = intern(tuple(x for x in pool if x not in grp))
-                for r, grp in enumerate(itertools.permutations(pool, s)):
-                    arr_id[si, r] = self.tuple_index[grp]
-                    arr_next[si, r] = intern(tuple(x for x in pool if x not in grp))
-                anchor = pool[0]
-                rest = pool[1:]
-                r = 0
-                for pos in range(s):
-                    for part in itertools.permutations(rest, s - 1):
-                        grp = part[:pos] + (anchor,) + part[pos:]
-                        anch_id[si, r] = self.tuple_index[grp]
-                        anch_next[si, r] = intern(tuple(x for x in rest if x not in part))
-                        r += 1
             self.comb.append((comb_id, comb_next))
-            self.arr.append((arr_id, arr_next))
-            self.anchored.append((anch_id, anch_next))
+            if arrangements:
+                arr_id = np.empty((n_states, self.arr_radix[j]), dtype=np.int32)
+                arr_next = np.empty_like(arr_id)
+                for si, pool in enumerate(states):
+                    for r, grp in enumerate(itertools.permutations(pool, s)):
+                        arr_id[si, r] = self.tuple_index[grp]
+                        arr_next[si, r] = intern(tuple(x for x in pool if x not in grp))
+                self.arr.append((arr_id, arr_next))
             states = [pool for pool, _ in sorted(next_index.items(), key=lambda kv: kv[1])]
 
     def case12_ids(self, pins: tuple[int, ...], sub_lo: int, sub_hi: int) -> np.ndarray:
@@ -557,7 +551,8 @@ class _EnumTables:
         )
 
     def case1_ids(self, lo: int, hi: int) -> np.ndarray:
-        return self._walk(self.anchored, self.anchored_radix, lo, hi)
+        """Tuple ids, shape (hi-lo, g): the first radix columns of `comb`."""
+        return self._walk(self.comb, _case1_radices(self.v, self.g, self.s), lo, hi)
 
     def _walk(self, tables, radices, lo: int, hi: int) -> np.ndarray:
         place = 1
@@ -576,13 +571,13 @@ class _EnumTables:
         return ids
 
 
-_ENUM_TABLES: dict[tuple[int, int, int], _EnumTables] = {}
+_ENUM_TABLES: dict[tuple[int, int, int, bool], _EnumTables] = {}
 
 
-def _enum_tables(v: int, g: int, s: int) -> _EnumTables:
-    key = (v, g, s)
+def _enum_tables(v: int, g: int, s: int, arrangements: bool) -> _EnumTables:
+    key = (v, g, s, arrangements)
     if key not in _ENUM_TABLES:
-        _ENUM_TABLES[key] = _EnumTables(v, g, s)
+        _ENUM_TABLES[key] = _EnumTables(v, g, s, arrangements)
     return _ENUM_TABLES[key]
 
 

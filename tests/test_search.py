@@ -9,6 +9,7 @@ from latent_structure_lab.estimate import EstimatorConfig
 from latent_structure_lab.prob import CapacityError, Grouping, group_outcomes, kl_divergence
 from latent_structure_lab.rng import RngState, derive_seed
 from latent_structure_lab.search import (
+    SCORERS,
     Candidate,
     SearchConfig,
     candidate_count,
@@ -115,8 +116,9 @@ class TestCandidateCount:
         assert candidate_count(cfg) == 1
 
     def test_case1(self):
-        assert candidate_count(CFG6_C1) == 360
-        assert candidate_count(SearchConfig(v=12, g=4, s=3, num_types=1, mode="case1")) == 19_958_400
+        # set partitions: V! / (G! * S!**G)
+        assert candidate_count(CFG6_C1) == 10
+        assert candidate_count(SearchConfig(v=12, g=4, s=3, num_types=1, mode="case1")) == 15_400
 
     def test_overflow_guard(self):
         # 2^10 * 20! / (2 * 2!^2) is just above the 63-bit rank range
@@ -239,7 +241,7 @@ class TestCase1Scorer:
         rng = np.random.default_rng(5)
         for _ in range(6):
             patterns = random_patterns(rng, 6, 40)
-            cand = unrank_candidate(CFG6_C1, int(rng.integers(360)))
+            cand = unrank_candidate(CFG6_C1, int(rng.integers(candidate_count(CFG6_C1))))
             got = score_candidate_case1(patterns, cand.grouping, CFG6_C1)
             want = naive_case1_score(patterns, cand.grouping, 3)
             assert got == pytest.approx(want, abs=1e-9)
@@ -332,6 +334,80 @@ class TestSearch:
         patterns = draw_patterns(truth, 78, 500)
         top = search(patterns, SearchConfig(v=6, g=2, s=3, num_types=1, mode="case1", top_k=1))[0]
         assert in_truth_orbit(top.candidate, true_joint(truth))
+
+
+def case1_group_term(column, cell, scorer):
+    """One group's case1 score from its outcome column, per sample."""
+    n = len(column)
+    tally = [int(t) for t in np.bincount(column, minlength=cell)]
+    if scorer == "paper_plugin":
+        return sum(t * (math.log1p(t) - math.log(cell + n)) for t in tally)
+    return math.lgamma(cell) - math.lgamma(cell + n) + sum(math.lgamma(1 + t) for t in tally)
+
+
+def partition_of(grouping):
+    return frozenset(frozenset(grp) for grp in grouping.slots)
+
+
+class TestCase1Partitions:
+    """case1 hypotheses are set partitions: slot order is never scored."""
+
+    @pytest.mark.parametrize("v", [6, 9])
+    def test_exhaustive_oracle_over_ordered_groupings(self, v):
+        # every ordered grouping (V!/G!: groups ordered by their smallest
+        # variable, slots in any order) scored group by group
+        s = 3
+        g = v // s
+        truth = build_bitvector_truth(BitsConfig(v=v, g=g, s=s), 40 + v)
+        patterns = draw_patterns(truth, 41 + v, 200)
+        shifts = v - 1 - np.arange(v)
+        bits = (np.asarray(patterns)[:, None] >> shifts) & 1
+        for scorer in SCORERS:
+            term: dict[tuple[int, ...], float] = {}
+            oracle = {}
+            for perm in itertools.permutations(range(v)):
+                groups = [perm[j * s : (j + 1) * s] for j in range(g)]
+                mins = [min(grp) for grp in groups]
+                if mins != sorted(mins):
+                    continue
+                for grp in groups:
+                    if grp not in term:
+                        column = bits[:, list(grp)] @ (1 << np.arange(s - 1, -1, -1))
+                        term[grp] = case1_group_term(column, 1 << s, scorer)
+                oracle[tuple(groups)] = sum(term[grp] for grp in groups)
+            assert len(oracle) == math.factorial(v) // math.factorial(g)
+            best = max(oracle.values())
+            winners = {
+                partition_of(Grouping(groups)) for groups, sc in oracle.items() if sc >= best - 1e-9
+            }
+            cfg = SearchConfig(v=v, g=g, s=s, num_types=1, mode="case1", scorer=scorer, top_k=1)
+            top = search(patterns, cfg)[0]
+            assert top.log_score == pytest.approx(best, abs=1e-9)
+            assert winners == {partition_of(top.candidate.grouping)}
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_top_k_lists_distinct_partitions(self, scorer):
+        truth = build_bitvector_truth(BitsConfig(v=9, g=3, s=3), 19)
+        patterns = draw_patterns(truth, 20, 300)
+        cfg = SearchConfig(v=9, g=3, s=3, num_types=1, mode="case1", scorer=scorer, top_k=50)
+        results = search(patterns, cfg)
+        assert len(results) == 50
+        assert len({partition_of(r.candidate.grouping) for r in results}) == 50
+
+    def test_within_group_relabelings_give_identical_joint(self):
+        truth = build_bitvector_truth(BitsConfig(v=9, g=3, s=3), 23)
+        patterns = draw_patterns(truth, 24, 300)
+        cfg = SearchConfig(v=9, g=3, s=3, num_types=1, mode="case1", top_k=1)
+        top = search(patterns, cfg)[0].candidate
+        want = estimate_from_candidate(patterns, top, EstimatorConfig()).weights.tobytes()
+        orders = list(itertools.permutations(range(3)))
+        for sigmas in itertools.product(orders, repeat=3):
+            groups = tuple(
+                tuple(grp[i] for i in sigma) for grp, sigma in zip(top.grouping.slots, sigmas)
+            )
+            relabeled = Candidate(Grouping(groups), None)
+            est = estimate_from_candidate(patterns, relabeled, EstimatorConfig())
+            assert est.weights.tobytes() == want
 
 
 class TestEstimateFromCandidate:
