@@ -49,11 +49,11 @@ from .simulate import (
 BIT_CASES = ("c0", "c0p", "c13", "c123", "c1", "c12")
 
 # case12 candidates scored per worker CPU-second, which check_search_cost
-# prices a refused search at. The V=12 marginal-scorer sweep of
-# benchmarks/run.py (workload search_case12_v12, 2 cores, Python 3.11,
-# numpy 2.4) scored 1.8M-1.9M per worker CPU-second; the earlier price of
-# 3e5/s overstated worker-hours about 6x.
-CASE12_SCORINGS_PER_WORKER_S = 1.8e6
+# prices a refused search at. The traced V=12 marginal-scorer sweep of
+# benchmarks/run.py (workload search_case12_v12, seed 1, 2 cores, Python
+# 3.11, numpy 2.4) scored its 106,444,800 candidates in 19.2 worker
+# CPU-seconds, 5.5M per worker CPU-second, with the per-prefix scorer.
+CASE12_SCORINGS_PER_WORKER_S = 5.5e6
 
 
 class ExpensiveSearchError(RuntimeError):

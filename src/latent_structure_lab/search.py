@@ -84,7 +84,6 @@ class SearchConfig:
     scorer: str = "paper_plugin"
     workers: int = 1
     top_k: int = 10
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.v != self.g * self.s:
@@ -97,8 +96,6 @@ class SearchConfig:
             raise ValueError("num_types must be 1 or 2 and at most g")
         if self.workers < 1 or self.top_k < 1:
             raise ValueError("workers and top_k must be positive")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,6 +110,11 @@ def _perm_count(n: int, k: int) -> int:
     for i in range(k):
         out *= n - i
     return out
+
+
+def _per_pattern(cfg: SearchConfig) -> int:
+    """case12 candidates per assignment pattern."""
+    return math.factorial(cfg.v) // math.factorial(cfg.s) ** cfg.num_types
 
 
 def candidate_count(cfg: SearchConfig) -> int:
@@ -255,8 +257,7 @@ def unrank_candidate(cfg: SearchConfig, rank: int) -> Candidate:
     if cfg.mode == "case1":
         groups = _case1_groups_for_rank(cfg.v, cfg.g, cfg.s, rank)
         return Candidate(Grouping(tuple(groups)), None)
-    per_pattern = math.factorial(cfg.v) // math.factorial(cfg.s) ** cfg.num_types
-    pattern_idx, subrank = divmod(rank, per_pattern)
+    pattern_idx, subrank = divmod(rank, _per_pattern(cfg))
     labels = _pattern_from_index(pattern_idx, cfg.g, cfg.num_types)
     pins = _pin_positions(labels, cfg.num_types)
     groups = _case12_groups_for_subrank(cfg.v, cfg.g, cfg.s, pins, subrank)
@@ -292,8 +293,7 @@ def candidate_rank(cfg: SearchConfig, candidate: Candidate) -> int:
             digit = _arrangement_rank(pool, grp)
         subrank = subrank * radix + digit
         pool = [x for x in pool if x not in grp]
-    per_pattern = math.factorial(cfg.v) // math.factorial(cfg.s) ** cfg.num_types
-    return _pattern_index(labels, cfg.g, cfg.num_types) * per_pattern + subrank
+    return _pattern_index(labels, cfg.g, cfg.num_types) * _per_pattern(cfg) + subrank
 
 
 def _arrangement_rank(pool: list[int], chosen: Sequence[int]) -> int:
@@ -440,8 +440,16 @@ class _ScoreContext:
     The tuples are ordered for case12 and sorted for case1, whose candidates
     hold sorted groups only. A candidate's pooled tallies are sums of
     precomputed tuple rows, and the per-observation log terms reduce to a
-    table lookup, so scoring a batch of candidates is a handful of
-    vectorized gathers.
+    table lookup. A case1 batch gathers one precomputed score per group.
+
+    A case12 batch is scored per prefix: the first G-1 groups of r
+    consecutive ranks agree, where r is the last level's radix (S! when the
+    last group is free, 1 when it is a pin). Each type's pooled tally over
+    the prefix groups is summed once per prefix; the type without the last
+    group gets its term once per prefix, and the type that owns it adds one
+    tuple row per leaf and evaluates its term on the r leaves. Terms still
+    accumulate as a's term, a's constant, b's term, b's constant, so the
+    scores equal a per-candidate evaluation bit for bit.
     """
 
     def __init__(self, patterns: Sequence[int], cfg: SearchConfig):
@@ -477,20 +485,30 @@ class _ScoreContext:
             base = lgam[cell] - lgam[cell + self.n]
             self.tuple_score = base + lgam[tally + 1].sum(axis=1)
 
-    def score_rows(self, ids: np.ndarray, labels: tuple[str, ...] | None) -> np.ndarray:
-        if labels is None:
-            return self.tuple_score[ids].sum(axis=1)
-        cell = 1 << self.cfg.s
-        scores = np.zeros(ids.shape[0])
+    def score(self, lo: int, hi: int) -> np.ndarray:
+        """Scores of ranks [lo, hi); a case12 range lies within one assignment pattern."""
+        cfg = self.cfg
+        if cfg.mode == "case1":
+            return self.tuple_score[self.tables.case1_ids(lo, hi)].sum(axis=1)
+        cell = 1 << cfg.s
+        pattern_idx, sub_lo = divmod(lo, _per_pattern(cfg))
+        labels = _pattern_from_index(pattern_idx, cfg.g, cfg.num_types)
+        pins = _pin_positions(labels, cfg.num_types)
+        prefix, leaves = self.tables.case12_ids(pins, sub_lo, sub_lo + hi - lo)
+        scores = np.zeros(leaves.shape)
         for label in ("a", "b"):
-            cols = [j for j, lab in enumerate(labels) if lab == label]
-            if not cols:
+            cols = [j for j, lab in enumerate(labels[:-1]) if lab == label]
+            owns_last = label == labels[-1]
+            if not (cols or owns_last):
                 continue
-            pooled = self.tally[ids[:, cols]].sum(axis=1)
-            scores += self.pool_term[pooled].sum(axis=1)
-            if self.cfg.scorer != "paper_plugin":
-                scores += self.lgam[cell] - self.lgam[cell + len(cols) * self.n]
-        return scores
+            pooled = self.tally[prefix[:, cols]].sum(axis=1)[:, None, :]
+            if owns_last:
+                pooled = pooled + self.tally[leaves]
+            scores += self.pool_term[pooled].sum(axis=-1)
+            if cfg.scorer != "paper_plugin":
+                scores += self.lgam[cell] - self.lgam[cell + (len(cols) + owns_last) * self.n]
+        skip = sub_lo % leaves.shape[1]
+        return scores.reshape(-1)[skip : skip + hi - lo]
 
 
 class _EnumTables:
@@ -540,35 +558,43 @@ class _EnumTables:
                 self.arr.append((arr_id, arr_next))
             states = [pool for pool, _ in sorted(next_index.items(), key=lambda kv: kv[1])]
 
-    def case12_ids(self, pins: tuple[int, ...], sub_lo: int, sub_hi: int) -> np.ndarray:
-        """Tuple ids, shape (sub_hi-sub_lo, g), for one assignment pattern."""
+    def case12_ids(
+        self, pins: tuple[int, ...], sub_lo: int, sub_hi: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Tuple ids of the prefixes covering subranks [sub_lo, sub_hi) of one pattern.
+
+        Returns the first g-1 groups' ids, shape (n_prefix, g-1), and the
+        last group's ids, shape (n_prefix, r), where r is the last radix;
+        prefix p covers subranks [p*r, (p+1)*r).
+        """
+        tables = [self.comb[j] if j in pins else self.arr[j] for j in range(self.g)]
         radices = [self.comb_radix[j] if j in pins else self.arr_radix[j] for j in range(self.g)]
-        return self._walk(
-            [self.comb[j] if j in pins else self.arr[j] for j in range(self.g)],
-            radices,
-            sub_lo,
-            sub_hi,
-        )
+        r = radices[-1]
+        prefix, state = self._walk(tables, radices[:-1], sub_lo // r, -(-sub_hi // r))
+        return prefix, tables[-1][0][state, :r]
 
     def case1_ids(self, lo: int, hi: int) -> np.ndarray:
-        """Tuple ids, shape (hi-lo, g): the first radix columns of `comb`."""
-        return self._walk(self.comb, _case1_radices(self.v, self.g, self.s), lo, hi)
+        """Tuple ids, shape (hi-lo, g): the first radix columns of `comb`.
 
-    def _walk(self, tables, radices, lo: int, hi: int) -> np.ndarray:
-        place = 1
-        for rad in radices:
-            place *= rad
+        The last case1 radix is C(S-1, S-1) = 1, so a prefix is one candidate.
+        """
+        prefix, state = self._walk(self.comb, _case1_radices(self.v, self.g, self.s)[:-1], lo, hi)
+        return np.column_stack((prefix, self.comb[-1][0][state, 0]))
+
+    def _walk(self, tables, radices, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the first len(radices) groups of prefix ranks [lo, hi), and the next state."""
+        place = math.prod(radices)
         rem = np.arange(lo, hi, dtype=np.int64)
         state = np.zeros(hi - lo, dtype=np.int64)
-        ids = np.empty((hi - lo, self.g), dtype=np.int64)
-        for j in range(self.g):
-            place //= radices[j]
+        ids = np.empty((hi - lo, len(radices)), dtype=np.int64)
+        for j, radix in enumerate(radices):
+            place //= radix
             digit = rem // place
             rem = rem - digit * place
             tab_id, tab_next = tables[j]
             ids[:, j] = tab_id[state, digit]
             state = tab_next[state, digit].astype(np.int64)
-        return ids
+        return ids, state
 
 
 _ENUM_TABLES: dict[tuple[int, int, int, bool], _EnumTables] = {}
@@ -584,50 +610,34 @@ def _enum_tables(v: int, g: int, s: int, arrangements: bool) -> _EnumTables:
 _SCORE_BATCH = 65536
 
 
-def _case12_tuple_rows(
-    cfg: SearchConfig, tables: _EnumTables, start: int, end: int
-) -> Iterator[tuple[tuple[str, ...] | None, np.ndarray, int]]:
-    """Yield (labels, ids, first_rank) over same-pattern, size-bounded batches."""
-    per_pattern = math.factorial(cfg.v) // math.factorial(cfg.s) ** cfg.num_types
-    rank = start
-    while rank < end:
-        pattern_idx = rank // per_pattern
-        stop = min(end, (pattern_idx + 1) * per_pattern, rank + _SCORE_BATCH)
-        labels = _pattern_from_index(pattern_idx, cfg.g, cfg.num_types)
-        pins = _pin_positions(labels, cfg.num_types)
-        base = pattern_idx * per_pattern
-        yield labels, tables.case12_ids(pins, rank - base, stop - base), rank
-        rank = stop
+def _top_k(ranks: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k best by (score desc, rank asc).
 
-
-def _case1_tuple_rows(
-    cfg: SearchConfig, tables: _EnumTables, start: int, end: int
-) -> Iterator[tuple[None, np.ndarray, int]]:
-    rank = start
-    while rank < end:
-        stop = min(end, rank + _SCORE_BATCH)
-        yield None, tables.case1_ids(rank, stop), rank
-        rank = stop
+    Every score at or above the k-th largest is kept for the final sort, so
+    ties with the k-th still break by rank.
+    """
+    if scores.size > k:
+        kth = np.partition(scores, scores.size - k)[scores.size - k]
+        keep = np.flatnonzero(scores >= kth)
+        ranks, scores = ranks[keep], scores[keep]
+    order = np.lexsort((ranks, -scores))[:k]
+    return ranks[order], scores[order]
 
 
 def _score_range(ctx: _ScoreContext, start: int, end: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k (ranks, scores) for the rank range [start, end)."""
     cfg = ctx.cfg
-    rows = _case1_tuple_rows if cfg.mode == "case1" else _case12_tuple_rows
+    span = _per_pattern(cfg) if cfg.mode == "case12" else candidate_count(cfg)
     rank_parts = []
     score_parts = []
-    for labels, ids, first in rows(cfg, ctx.tables, start, end):
-        ranks = np.arange(first, first + ids.shape[0], dtype=np.int64)
-        scores = ctx.score_rows(ids, labels)
-        if ranks.size > k:
-            keep = np.lexsort((ranks, -scores))[:k]
-            ranks, scores = ranks[keep], scores[keep]
+    rank = start
+    while rank < end:
+        stop = min(end, (rank // span + 1) * span, rank + _SCORE_BATCH)
+        ranks, scores = _top_k(np.arange(rank, stop, dtype=np.int64), ctx.score(rank, stop), k)
         rank_parts.append(ranks)
         score_parts.append(scores)
-    ranks = np.concatenate(rank_parts)
-    scores = np.concatenate(score_parts)
-    order = np.lexsort((ranks, -scores))[:k]
-    return ranks[order], scores[order]
+        rank = stop
+    return _top_k(np.concatenate(rank_parts), np.concatenate(score_parts), k)
 
 
 _WORKER_CTX: _ScoreContext | None = None
@@ -649,17 +659,19 @@ def search(patterns: Sequence[int], cfg: SearchConfig) -> list[ScoredCandidate]:
 
     Workers score disjoint contiguous rank ranges and emit partial top-k
     lists; the merge orders by (score desc, rank asc), so the result is
-    identical for every worker count and chunk size.
+    identical for every worker count. A space no bigger than one scoring
+    batch is scored in-process whatever `workers` says, because starting a
+    pool costs more than the scoring.
     """
     if len(patterns) == 0:
         raise ValueError("search requires a nonempty dataset")
     total = candidate_count(cfg)
     k = cfg.top_k
-    chunk = cfg.chunk_size or max(1, -(-total // (cfg.workers * 64)))
+    chunk = max(1, -(-total // (cfg.workers * 64)))
     ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     patterns = [int(p) for p in patterns]
 
-    if cfg.workers == 1 or len(ranges) == 1:
+    if cfg.workers == 1 or total <= _SCORE_BATCH:
         ctx = _ScoreContext(patterns, cfg)
         parts = []
         for lo, hi in ranges:

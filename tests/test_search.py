@@ -1,3 +1,7 @@
+import dataclasses
+import functools
+import hashlib
+import importlib
 import itertools
 import math
 import time
@@ -12,6 +16,8 @@ from latent_structure_lab.search import (
     SCORERS,
     Candidate,
     SearchConfig,
+    _ScoreContext,
+    _score_range,
     candidate_count,
     candidate_rank,
     canonicalize_candidate,
@@ -24,13 +30,17 @@ from latent_structure_lab.search import (
     search,
     search_result_jsonable,
     unrank_candidate,
+    write_search_result,
 )
 from latent_structure_lab.simulate import (
     BitsConfig,
     build_bitvector_truth,
+    dataset_digest,
     draw_bitvector,
     true_joint,
 )
+
+search_module = importlib.import_module("latent_structure_lab.search")
 
 CFG6 = SearchConfig(v=6, g=2, s=3, num_types=2, mode="case12")
 CFG6_C1 = SearchConfig(v=6, g=2, s=3, num_types=1, mode="case1")
@@ -295,14 +305,26 @@ class TestSearch:
             assert got.rank in tie_class
             assert got.log_score == pytest.approx(best, abs=1e-9)
 
-    def test_worker_count_never_changes_output(self):
-        truth = build_bitvector_truth(BitsConfig(v=6, g=2, s=3), 5)
-        patterns = draw_patterns(truth, 6, 200)
-        runs = {}
-        for workers in (1, 2, 8):
-            cfg = SearchConfig(v=6, g=2, s=3, mode="case12", workers=workers, top_k=7)
-            runs[workers] = [(s.rank, s.log_score) for s in search(patterns, cfg)]
-        assert runs[1] == runs[2] == runs[8]
+    def test_worker_count_never_changes_output(self, monkeypatch):
+        pool_starts = []
+
+        class CountingPool(search_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pool_starts.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, "ProcessPoolExecutor", CountingPool)
+        # 40 candidates score in-process; 80,640 exceed one batch and use a pool
+        for v, g, s, pooled in ((6, 2, 3, False), (8, 4, 2, True)):
+            truth = build_bitvector_truth(BitsConfig(v=v, g=g, s=s), 5)
+            patterns = draw_patterns(truth, 6, 200)
+            runs = {}
+            for workers in (1, 2, 8):
+                pool_starts.clear()
+                cfg = SearchConfig(v=v, g=g, s=s, mode="case12", workers=workers, top_k=7)
+                runs[workers] = [(x.rank, x.log_score) for x in search(patterns, cfg)]
+                assert pool_starts == ([workers] if pooled and workers > 1 else [])
+            assert runs[1] == runs[2] == runs[8]
 
     def test_single_sample_ties_break_by_rank(self):
         cfg = SearchConfig(v=6, g=2, s=3, mode="case12", top_k=40)
@@ -410,6 +432,79 @@ class TestCase1Partitions:
             assert est.weights.tobytes() == want
 
 
+@functools.cache
+def unranked_space(cfg):
+    """Ordered-tuple ids and assignments of every candidate, by the scalar unranker."""
+    tuple_index = {tup: i for i, tup in enumerate(itertools.permutations(range(cfg.v), cfg.s))}
+    cands = [unrank_candidate(cfg, rank) for rank in range(candidate_count(cfg))]
+    ids = np.array([[tuple_index[grp] for grp in c.grouping.slots] for c in cands])
+    return ids, [c.assignment for c in cands]
+
+
+def gather_scores(ctx):
+    """Reference case12 scorer over every rank: each candidate gathers all G tuple rows.
+
+    Both types' pooled tallies and terms are evaluated per candidate, in the
+    order a's term, a's constant, b's term, b's constant.
+    """
+    cfg = ctx.cfg
+    cell = 1 << cfg.s
+    ids, assignments = unranked_space(dataclasses.replace(cfg, scorer=SCORERS[0]))
+    scores = np.zeros(len(assignments))
+    for labels in set(assignments):
+        rows = np.array([a == labels for a in assignments])
+        part = np.zeros(int(rows.sum()))
+        for label in ("a", "b"):
+            cols = [j for j, lab in enumerate(labels) if lab == label]
+            if not cols:
+                continue
+            pooled = ctx.tally[ids[rows][:, cols]].sum(axis=1)
+            part += ctx.pool_term[pooled].sum(axis=1)
+            if cfg.scorer != "paper_plugin":
+                part += ctx.lgam[cell] - ctx.lgam[cell + len(cols) * ctx.n]
+        scores[rows] = part
+    return scores
+
+
+class TestPrefixScorer:
+    """The per-prefix case12 scorer equals the per-candidate gather bit for bit."""
+
+    @pytest.mark.parametrize("num_types", [1, 2])
+    @pytest.mark.parametrize("scorer", SCORERS)
+    @pytest.mark.parametrize("v, g, s", [(6, 2, 3), (8, 4, 2), (9, 3, 3)])
+    def test_every_rank_matches_gather_oracle(self, v, g, s, scorer, num_types):
+        # V=8 has last radix 2, V=9 has 6; a pattern whose last group is a
+        # pin (all of V=6, and a..ab at V=8 and V=9) has last radix 1
+        rng = np.random.default_rng(100 + v)
+        patterns = random_patterns(rng, v, 120)
+        cfg = SearchConfig(v=v, g=g, s=s, num_types=num_types, mode="case12", scorer=scorer)
+        ctx = _ScoreContext(patterns, cfg)
+        per_pattern = math.factorial(v) // math.factorial(s) ** num_types
+        want = gather_scores(ctx)
+        got = np.concatenate(
+            [ctx.score(lo, lo + per_pattern) for lo in range(0, candidate_count(cfg), per_pattern)]
+        )
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_range_top_k_matches_oracle_under_ties(self, scorer):
+        # one sample: every candidate's tallies are permutations of each
+        # other, so most scores tie exactly and ranks decide the order
+        cfg = SearchConfig(v=9, g=3, s=3, mode="case12", scorer=scorer)
+        ctx = _ScoreContext([0b101100111], cfg)
+        total = candidate_count(cfg)
+        oracle = gather_scores(ctx)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            lo, hi = sorted(int(x) for x in rng.choice(np.arange(total // 6) * 6 + 1, 2, replace=False))
+            hi += 4
+            k = int(rng.integers(1, 60))
+            ranks, scores = _score_range(ctx, lo, hi, k)
+            order = np.lexsort((np.arange(lo, hi), -oracle[lo:hi]))[:k]
+            assert np.array_equal(ranks, order + lo)
+            assert np.array_equal(scores.view(np.int64), oracle[lo:hi][order].view(np.int64))
+
+
 class TestEstimateFromCandidate:
     def test_truth_orbit_estimate_converges(self):
         truth = build_bitvector_truth(BitsConfig(v=6, g=2, s=3), 123)
@@ -471,6 +566,27 @@ class TestResultSerialization:
         flat = sorted(v for grp in entry["grouping"] for v in grp)
         assert flat == list(range(1, 7))
         assert set(entry) == {"rank", "log_score", "grouping", "assignment"}
+
+
+class TestGoldenDigests:
+    """sha256 of the case12 top-k result file, pinned across scorer changes."""
+
+    GOLDEN = {
+        (8, "paper_plugin"): "618ef44c3ac9018cbfd9eb501c30bcb9d1165750aa6dc6ec6bba2816d0ad2729",
+        (8, "dirichlet_marginal"): "bcc1ae4f472f1d3d9db756ea5e01c7458efef87756b940b2d6d1229084b88498",
+        (9, "paper_plugin"): "67a2f130e7e9473d27e7f84b169473ea890bcbed4120d21f085c535f78f6928c",
+        (9, "dirichlet_marginal"): "bced9299fe9801aa562c64048c96d206d784306194df8631407207da140492c3",
+    }
+
+    @pytest.mark.parametrize("v, scorer", sorted(GOLDEN))
+    def test_case12_result_bytes(self, tmp_path, v, scorer):
+        g, s = (4, 2) if v == 8 else (3, 3)
+        truth = build_bitvector_truth(BitsConfig(v=v, g=g, s=s), 60 + v)
+        patterns = draw_patterns(truth, 61 + v, 300)
+        cfg = SearchConfig(v=v, g=g, s=s, mode="case12", scorer=scorer, top_k=10)
+        path = tmp_path / "topk.json"
+        write_search_result(path, cfg, dataset_digest(patterns, v), search(patterns, cfg))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[(v, scorer)]
 
 
 class TestOrbitMembership:
