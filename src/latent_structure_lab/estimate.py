@@ -9,11 +9,14 @@ The EM objective recorded in traces is the observed-data log-likelihood
 plus the Dirichlet smoothing term matching the M-step's pseudocount. That
 is the quantity this EM provably never decreases; the bare data likelihood
 can dip when an update trades likelihood against smoothing.
+
+The EM runs every restart side by side on raw (R, 2, K) float arrays, each
+restart stopping at its own iteration. Its inputs are validated once, at
+entry; only the winning restart is wrapped in Categoricals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,9 +40,11 @@ class EstimatorConfig:
             and self.em_tol > 0
             and self.em_max_iters > 0
             and self.em_restarts > 0
-            and self.em_init_noise >= 0
         ):
             raise ValueError("estimator configuration fields must be positive")
+        if not 0 <= self.em_init_noise < 1:
+            # Restart factors 1 + noise * (2u - 1) must stay in (0, 2).
+            raise ValueError(f"em_init_noise must lie in [0, 1), got {self.em_init_noise!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +63,7 @@ class EmResult:
     iterations: int
     restarts_used: int
     trace: tuple[float, ...]
+    restart_objectives: tuple[float, ...] = ()
 
     def to_jsonable(self) -> dict:
         return {
@@ -68,6 +74,7 @@ class EmResult:
             "iterations": self.iterations,
             "restarts_used": self.restarts_used,
             "trace": list(self.trace),
+            "restart_objectives": list(self.restart_objectives),
         }
 
 
@@ -85,55 +92,61 @@ def _counts_matrix(tallies: Sequence[TallyVector]) -> np.ndarray:
     return np.stack([t.counts for t in tallies])
 
 
-def _em_objective_and_resp(
-    counts: np.ndarray, q_a: Categorical, q_b: Categorical, pseudocount: float
-) -> tuple[float, np.ndarray]:
-    log_qa = np.log(q_a.weights)
-    log_qb = np.log(q_b.weights)
-    ll = np.stack([counts @ log_qa, counts @ log_qb], axis=1)  # (N, 2)
-    peak = ll.max(axis=1)
-    shifted = np.exp(ll - peak[:, None])
-    norm = shifted.sum(axis=1)
-    obs = float(np.sum(peak + np.log(0.5 * norm)))
-    objective = obs + pseudocount * float(log_qa.sum() + log_qb.sum())
-    return objective, shifted / norm[:, None]
+def _em_m_step(counts: np.ndarray, resp: np.ndarray, pseudocount: float) -> np.ndarray:
+    """(A, 2, K) smoothed type distributions from (A, N, 2) responsibilities.
+
+    Each type pools `resp[a, :, s] @ counts` as its own vector-matrix
+    product of a strided column, as one restart's (N, 2) array gives it;
+    the golden curves depend on that product's rounding.
+    """
+    pooled = (resp.transpose(0, 2, 1)[:, :, None, :] @ counts)[:, :, 0]
+    total = pooled.sum(axis=2, keepdims=True) + counts.shape[1] * pseudocount
+    return (pooled + pseudocount) / total
 
 
-def _em_m_step(
-    counts: np.ndarray, resp: np.ndarray, pseudocount: float
-) -> tuple[Categorical, Categorical]:
-    pooled_a = TallyVector(resp[:, 0] @ counts)
-    pooled_b = TallyVector(resp[:, 1] @ counts)
-    return dirichlet_mean(pooled_a, pseudocount), dirichlet_mean(pooled_b, pseudocount)
+def _em_batch(
+    counts: np.ndarray, q: np.ndarray, cfg: EstimatorConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
+    """Run EM from each of the (R, 2, K) starts in q, all restarts at once.
 
-
-def _em_run(
-    counts: np.ndarray, q_a: Categorical, q_b: Categorical, cfg: EstimatorConfig
-) -> tuple[Categorical, Categorical, np.ndarray, float, int, list[float]]:
-    trace: list[float] = []
-    prev = None
-    resp = None
-    objective = -math.inf
-    for _ in range(cfg.em_max_iters):
-        objective, resp = _em_objective_and_resp(counts, q_a, q_b, cfg.pseudocount)
-        trace.append(objective)
-        if prev is not None and abs(objective - prev) < cfg.em_tol:
-            break
-        prev = objective
-        q_a, q_b = _em_m_step(counts, resp, cfg.pseudocount)
-    else:
-        # Ran out of iterations after an M-step; sync responsibilities.
-        objective, resp = _em_objective_and_resp(counts, q_a, q_b, cfg.pseudocount)
-        trace.append(objective)
-    return q_a, q_b, resp, objective, len(trace), trace
-
-
-def _perturbed(pooled: Categorical, noise: float, rng: RngState) -> tuple[Categorical, RngState]:
-    factors = []
-    for _ in range(pooled.k):
-        u, rng = next_unit(rng)
-        factors.append(1.0 + noise * (2.0 * u - 1.0))
-    return Categorical.normalized(pooled.weights * np.asarray(factors)), rng
+    A restart stops at its own iteration: once its objective moves by less
+    than em_tol, its objective, responsibilities, distributions and trace
+    freeze while the others go on. A restart still moving after
+    em_max_iters M-steps gets one last E-step. Returns the final q, the
+    (R, N, 2) responsibilities, the (R,) objectives and the R traces.
+    """
+    n_starts = q.shape[0]
+    final_q = np.empty_like(q)
+    final_resp = np.empty((n_starts, counts.shape[0], 2))
+    final_obj = np.empty(n_starts)
+    traces: list[list[float]] = [[] for _ in range(n_starts)]
+    live = np.arange(n_starts)
+    prev = np.full(n_starts, np.nan)  # no restart can stop at its first E-step
+    for step in range(cfg.em_max_iters + 1):
+        log_q = np.log(q)
+        # (A, N, 2), C-ordered like the (N, 2) stack of one restart: the
+        # M-step reads its columns, and their stride sets BLAS rounding.
+        ll = np.ascontiguousarray((counts @ log_q[..., None])[..., 0].transpose(0, 2, 1))
+        peak = ll.max(axis=2)
+        shifted = np.exp(ll - peak[..., None])
+        norm = shifted.sum(axis=2)
+        obj = np.sum(peak + np.log(0.5 * norm), axis=1) + cfg.pseudocount * (
+            log_q[:, 0].sum(axis=1) + log_q[:, 1].sum(axis=1)
+        )
+        resp = shifted / norm[..., None]
+        for r, value in zip(live.tolist(), obj.tolist()):
+            traces[r].append(value)
+        done = (np.abs(obj - prev) < cfg.em_tol) | (step == cfg.em_max_iters)
+        if done.any():
+            stop = live[done]
+            final_q[stop], final_resp[stop], final_obj[stop] = q[done], resp[done], obj[done]
+            keep = ~done
+            live, q, resp, obj = live[keep], q[keep], resp[keep], obj[keep]
+            if live.size == 0:
+                break
+        prev = obj
+        q = _em_m_step(counts, resp, cfg.pseudocount)
+    return final_q, final_resp, final_obj, traces
 
 
 def em_two_type(
@@ -149,42 +162,42 @@ def em_two_type(
     smoothed mean of the responsibility-weighted pooled tallies.
 
     Runs cfg.em_restarts initializations (the pooled distribution with
-    multiplicative noise, renormalized) and keeps the best final objective;
-    ties go to the earliest restart. When init_responsibilities is given,
-    that single hard/soft initialization is refined instead.
+    multiplicative noise, renormalized) side by side on raw arrays and keeps
+    the best final objective; ties go to the earliest restart. When
+    init_responsibilities is given, that single hard/soft initialization is
+    refined instead. Inputs are validated here, once; only the winning
+    restart is wrapped in Categoricals.
     """
     counts = _counts_matrix(tallies)
-    pooled = dirichlet_mean(TallyVector(counts.sum(axis=0)), cfg.pseudocount)
-    starts: list[tuple[Categorical, Categorical]] = []
     if init_responsibilities is not None:
         resp = np.asarray(init_responsibilities, dtype=np.float64)
         if resp.shape != (counts.shape[0], 2):
             raise ValueError(f"init_responsibilities must have shape ({counts.shape[0]}, 2)")
-        starts.append(_em_m_step(counts, resp, cfg.pseudocount))
+        if not np.all(np.isfinite(resp)) or np.any(resp < 0.0):
+            raise ValueError("init_responsibilities must be finite and nonnegative")
+        starts = _em_m_step(counts, resp[None], cfg.pseudocount)
     else:
+        pooled = dirichlet_mean(TallyVector(counts.sum(axis=0)), cfg.pseudocount).weights
+        units = np.empty((cfg.em_restarts, 2, pooled.size))
         rng = RngState(seed)
-        for _ in range(cfg.em_restarts):
-            q_a, rng = _perturbed(pooled, cfg.em_init_noise, rng)
-            q_b, rng = _perturbed(pooled, cfg.em_init_noise, rng)
-            starts.append((q_a, q_b))
+        for j in range(units.size):
+            units.flat[j], rng = next_unit(rng)
+        weights = pooled * (1.0 + cfg.em_init_noise * (2.0 * units - 1.0))
+        starts = weights / weights.sum(axis=2, keepdims=True)
 
-    best: tuple | None = None
-    for q_a0, q_b0 in starts:
-        run = _em_run(counts, q_a0, q_b0, cfg)
-        if best is None or run[3] > best[3]:
-            best = run
-    assert best is not None
-    q_a, q_b, resp, objective, iterations, trace = best
-    resp = np.array(resp)
-    resp.setflags(write=False)
+    q, resp, objectives, traces = _em_batch(counts, starts, cfg)
+    best = int(np.argmax(objectives))
+    winner = np.array(resp[best])
+    winner.setflags(write=False)
     return EmResult(
-        q_a=q_a,
-        q_b=q_b,
-        responsibilities=resp,
-        log_likelihood=objective,
-        iterations=iterations,
+        q_a=Categorical(q[best, 0]),
+        q_b=Categorical(q[best, 1]),
+        responsibilities=winner,
+        log_likelihood=float(objectives[best]),
+        iterations=len(traces[best]),
         restarts_used=len(starts),
-        trace=tuple(trace),
+        trace=tuple(traces[best]),
+        restart_objectives=tuple(objectives.tolist()),
     )
 
 

@@ -203,7 +203,7 @@ def joint_from_independent_bits(bit_probs: Sequence[float]) -> Categorical:
         raise ValueError("bit probabilities must lie in [0, 1]")
     joint = np.ones(1)
     for p in probs:
-        joint = np.kron(joint, np.array([1.0 - p, p]))
+        joint = np.multiply.outer(joint, (1.0 - p, p)).ravel()
     return Categorical(joint)
 
 

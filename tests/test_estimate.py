@@ -16,6 +16,7 @@ from latent_structure_lab.estimate import (
     raw_tally_estimate,
 )
 from latent_structure_lab.prob import (
+    Categorical,
     Grouping,
     TallyVector,
     dirichlet_mean,
@@ -23,7 +24,7 @@ from latent_structure_lab.prob import (
     kl_divergence,
     log_likelihood,
 )
-from latent_structure_lab.rng import RngState, derive_seed
+from latent_structure_lab.rng import RngState, derive_seed, next_unit
 from latent_structure_lab.simulate import BitsConfig, build_bitvector_truth, draw_bitvector
 
 CFG = EstimatorConfig()
@@ -43,6 +44,80 @@ def brute_force_two_type(tallies, pseudocount=1.0):
         if best is None or ll > best[0]:
             best = (ll, labels, qs)
     return best
+
+
+def _oracle_objective_and_resp(counts, q_a, q_b, pseudocount):
+    log_qa = np.log(q_a.weights)
+    log_qb = np.log(q_b.weights)
+    ll = np.stack([counts @ log_qa, counts @ log_qb], axis=1)  # (N, 2)
+    peak = ll.max(axis=1)
+    shifted = np.exp(ll - peak[:, None])
+    norm = shifted.sum(axis=1)
+    obs = float(np.sum(peak + np.log(0.5 * norm)))
+    objective = obs + pseudocount * float(log_qa.sum() + log_qb.sum())
+    return objective, shifted / norm[:, None]
+
+
+def _oracle_m_step(counts, resp, pseudocount):
+    pooled_a = TallyVector(resp[:, 0] @ counts)
+    pooled_b = TallyVector(resp[:, 1] @ counts)
+    return dirichlet_mean(pooled_a, pseudocount), dirichlet_mean(pooled_b, pseudocount)
+
+
+def _oracle_run(counts, q_a, q_b, cfg):
+    trace = []
+    prev = None
+    resp = None
+    objective = -math.inf
+    for _ in range(cfg.em_max_iters):
+        objective, resp = _oracle_objective_and_resp(counts, q_a, q_b, cfg.pseudocount)
+        trace.append(objective)
+        if prev is not None and abs(objective - prev) < cfg.em_tol:
+            break
+        prev = objective
+        q_a, q_b = _oracle_m_step(counts, resp, cfg.pseudocount)
+    else:
+        # Ran out of iterations after an M-step; sync responsibilities.
+        objective, resp = _oracle_objective_and_resp(counts, q_a, q_b, cfg.pseudocount)
+        trace.append(objective)
+    return q_a, q_b, resp, objective, len(trace), trace
+
+
+def _oracle_perturbed(pooled, noise, rng):
+    factors = []
+    for _ in range(pooled.k):
+        u, rng = next_unit(rng)
+        factors.append(1.0 + noise * (2.0 * u - 1.0))
+    return Categorical.normalized(pooled.weights * np.asarray(factors)), rng
+
+
+def oracle_em_two_type(tallies, cfg, seed, init_responsibilities=None):
+    """Oracle: the object-based, one-restart-at-a-time two-type EM.
+
+    Returns (q_a, q_b, responsibilities, objective, iterations, trace) of
+    the first restart with the strictly largest final objective, then the
+    final objective and the iteration count of every restart.
+    """
+    counts = np.stack([t.counts for t in tallies])
+    pooled = dirichlet_mean(TallyVector(counts.sum(axis=0)), cfg.pseudocount)
+    starts = []
+    if init_responsibilities is not None:
+        resp = np.asarray(init_responsibilities, dtype=np.float64)
+        starts.append(_oracle_m_step(counts, resp, cfg.pseudocount))
+    else:
+        rng = RngState(seed)
+        for _ in range(cfg.em_restarts):
+            q_a, rng = _oracle_perturbed(pooled, cfg.em_init_noise, rng)
+            q_b, rng = _oracle_perturbed(pooled, cfg.em_init_noise, rng)
+            starts.append((q_a, q_b))
+    best = None
+    runs = []
+    for q_a0, q_b0 in starts:
+        run = _oracle_run(counts, q_a0, q_b0, cfg)
+        runs.append(run)
+        if best is None or run[3] > best[3]:
+            best = run
+    return (*best, [run[3] for run in runs], [run[4] for run in runs])
 
 
 def draw_patterns(truth, seed, n):
@@ -130,10 +205,10 @@ class TestEmTwoType:
         tallies = [TallyVector(rng.integers(0, 25, 6).astype(float)) for _ in range(4)]
         result = em_two_type(tallies, CFG, seed=1)
         counts = np.stack([t.counts for t in tallies])
-        from latent_structure_lab.estimate import _em_objective_and_resp
-
-        obj, _ = _em_objective_and_resp(counts, result.q_a, result.q_b, CFG.pseudocount)
-        swapped_obj, _ = _em_objective_and_resp(counts, result.q_b, result.q_a, CFG.pseudocount)
+        obj, _ = _oracle_objective_and_resp(counts, result.q_a, result.q_b, CFG.pseudocount)
+        swapped_obj, _ = _oracle_objective_and_resp(
+            counts, result.q_b, result.q_a, CFG.pseudocount
+        )
         assert abs(obj - swapped_obj) <= 1e-12
 
         mix = per_unit_mixture(result)
@@ -154,7 +229,114 @@ class TestEmTwoType:
     def test_jsonable(self):
         result = em_two_type([TallyVector(np.array([3.0, 1.0]))], CFG, seed=0)
         payload = result.to_jsonable()
-        assert set(payload) >= {"q_a", "q_b", "responsibilities", "trace", "iterations"}
+        assert set(payload) >= {
+            "q_a", "q_b", "responsibilities", "trace", "iterations", "restart_objectives"
+        }
+        assert payload["restart_objectives"] == list(result.restart_objectives)
+
+    @pytest.mark.parametrize("restarts", (1, 3, 7))
+    def test_restart_objectives_spread(self, restarts):
+        rng = np.random.default_rng(restarts)
+        tallies = [TallyVector(rng.integers(0, 30, 8).astype(float)) for _ in range(5)]
+        result = em_two_type(tallies, EstimatorConfig(em_restarts=restarts), seed=9)
+        assert len(result.restart_objectives) == result.restarts_used == restarts
+        assert max(result.restart_objectives) == result.log_likelihood
+        init = assignment_responsibilities("ababa")
+        seeded = em_two_type(tallies, CFG, seed=9, init_responsibilities=init)
+        assert seeded.restart_objectives == (seeded.log_likelihood,)
+
+    @pytest.mark.parametrize("noise", (1.0, 1.5, -0.01, math.nan))
+    def test_rejects_init_noise_outside_unit_interval(self, noise):
+        with pytest.raises(ValueError, match="em_init_noise"):
+            EstimatorConfig(em_init_noise=noise)
+
+    def test_accepts_init_noise_in_unit_interval(self):
+        for noise in (0.0, 0.5, 0.999):
+            assert EstimatorConfig(em_init_noise=noise).em_init_noise == noise
+
+    @pytest.mark.parametrize(
+        "bad",
+        (
+            [[1.0, 0.0], [-0.5, 1.5]],
+            [[1.0, 0.0], [math.nan, 1.0]],
+            [[1.0, 0.0], [math.inf, 0.0]],
+        ),
+    )
+    def test_rejects_bad_init_responsibilities_at_entry(self, bad):
+        # The unit with the bad row has no counts, so no pooled tally goes
+        # negative: the check must look at the rows themselves.
+        tallies = [TallyVector(np.array([5.0, 1.0])), TallyVector(np.zeros(2))]
+        for seed in range(5):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                em_two_type(tallies, CFG, seed, init_responsibilities=np.array(bad))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def assert_matches_oracle(tallies, cfg, seed, init=None):
+    """em_two_type equals the oracle bit for bit; returns per-restart iterations."""
+    result = em_two_type(tallies, cfg, seed, init_responsibilities=init)
+    q_a, q_b, resp, objective, iterations, trace, finals, restart_iters = oracle_em_two_type(
+        tallies, cfg, seed, init
+    )
+    np.testing.assert_array_equal(bits(result.q_a.weights), bits(q_a.weights))
+    np.testing.assert_array_equal(bits(result.q_b.weights), bits(q_b.weights))
+    np.testing.assert_array_equal(bits(result.responsibilities), bits(resp))
+    assert bits(result.log_likelihood) == bits(objective)
+    assert result.iterations == iterations
+    assert result.trace == tuple(trace)
+    np.testing.assert_array_equal(bits(result.restart_objectives), bits(finals))
+    assert result.restarts_used == len(finals)
+    return restart_iters
+
+
+class TestEmMatchesOracle:
+    """The batched EM reproduces the one-restart-at-a-time EM bit for bit."""
+
+    @pytest.mark.parametrize("n_units", (1, 2, 3, 4, 6, 9, 16))
+    @pytest.mark.parametrize("k", (2, 8, 64))
+    def test_grid(self, n_units, k):
+        rng = np.random.default_rng(1000 * n_units + k)
+        staggered = 0
+        for max_iters in (1, 2, 3, 7, 500):
+            for _ in range(3):
+                scale = int(rng.choice((3, 30, 300)))
+                tallies = [
+                    TallyVector(rng.integers(0, scale, size=k).astype(float))
+                    for _ in range(n_units)
+                ]
+                cfg = EstimatorConfig(
+                    em_max_iters=max_iters, em_restarts=int(rng.integers(1, 8))
+                )
+                iters = assert_matches_oracle(tallies, cfg, int(rng.integers(1 << 40)))
+                staggered += len(set(iters)) > 1
+                soft = rng.random((n_units, 2))
+                assert_matches_oracle(tallies, cfg, 0, init=soft)
+                hard = assignment_responsibilities(rng.choice(("a", "b"), n_units))
+                assert_matches_oracle(tallies, cfg, 0, init=hard)
+        if n_units > 1:
+            assert staggered > 0
+
+    def test_restarts_stop_at_different_iterations(self):
+        rng = np.random.default_rng(77)
+        tallies = [TallyVector(rng.integers(0, 40, size=8).astype(float)) for _ in range(5)]
+        iters = assert_matches_oracle(tallies, EstimatorConfig(em_restarts=7), seed=3)
+        assert len(set(iters)) > 1
+
+    def test_single_iteration_adds_tail_e_step(self):
+        rng = np.random.default_rng(78)
+        tallies = [TallyVector(rng.integers(0, 40, size=8).astype(float)) for _ in range(4)]
+        iters = assert_matches_oracle(tallies, EstimatorConfig(em_max_iters=1), seed=4)
+        assert iters == [2] * 5
+
+    def test_strided_init_responsibilities(self):
+        rng = np.random.default_rng(79)
+        tallies = [TallyVector(rng.integers(0, 40, size=8).astype(float)) for _ in range(6)]
+        init = np.asfortranarray(rng.random((6, 2)))
+        assert_matches_oracle(tallies, CFG, 0, init=init)
+        assert_matches_oracle(tallies, CFG, 0, init=rng.random((6, 4))[:, ::2])
 
 
 class TestPerUnitMixture:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from latent_structure_lab.experiment import (
     _four_urns_single_run,
     _bitvectors_single_run,
 )
+from latent_structure_lab.pipeline import run_experiment
 from latent_structure_lab.prob import kl_divergence, Categorical
 from latent_structure_lab.simulate import BitsConfig, UrnConfig, build_bitvector_truth
 
@@ -336,3 +338,37 @@ class TestSpecJson:
     def test_missing_required_field(self):
         with pytest.raises(ValueError, match="base_seed"):
             spec_from_jsonable({"kind": "four_urns", "n_samples": 1, "n_runs": 1})
+
+
+class TestGoldenCurveDigests:
+    """sha256 of curves.csv for one small spec of each kind, pinned across EM changes.
+
+    The bit_vectors spec runs the two-type EM both from noisy restarts
+    (c123) and from a searched assignment (c12, via init_assignment).
+    """
+
+    SPECS = {
+        "four_urns": (
+            {"kind": "four_urns", "n_samples": 200, "n_runs": 2, "base_seed": 2024},
+            "7555cb857dcb048b2c03cf2a6fa98006b2c6fc27fa1ea88f453fcbe6a19f5025",
+        ),
+        "bit_vectors": (
+            {
+                "kind": "bit_vectors",
+                "n_samples": 120,
+                "n_runs": 1,
+                "base_seed": 77,
+                "cases": ["c123", "c12"],
+                "checkpoints": [5, 20, 60, 120],
+                "truth": {"v": 9, "g": 3, "s": 3, "min_separation": 0.6},
+                "search": {"workers": 1, "scorer": "dirichlet_marginal"},
+            },
+            "d105649565c8ddf3a1335555a1c7b472eb143180adfe0a1017af9c652ef6b3c7",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_curves_csv_bytes(self, tmp_path, kind):
+        payload, digest = self.SPECS[kind]
+        run_experiment(spec_from_jsonable(payload), tmp_path)
+        assert hashlib.sha256((tmp_path / "curves.csv").read_bytes()).hexdigest() == digest

@@ -159,6 +159,16 @@ class TestJointFromIndependentBits:
         with pytest.raises(CapacityError):
             joint_from_independent_bits([0.5] * 21)
 
+    @pytest.mark.parametrize("v", range(1, 13))
+    def test_bits_equal_kron_oracle(self, v):
+        rng = np.random.default_rng(v)
+        for probs in (rng.uniform(size=v), rng.choice((0.0, 1.0, 0.5, 1 / 3), size=v)):
+            want = np.ones(1)
+            for p in probs:
+                want = np.kron(want, np.array([1.0 - p, p]))
+            got = joint_from_independent_bits(probs).weights
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestJointFromGrouping:
     def test_single_group_is_the_joint(self):
