@@ -41,7 +41,6 @@ from .prob import (
     joint_from_grouping,
     joint_from_independent_bits,
     kl_divergence,
-    log_likelihood,
     total_variation,
 )
 from .report import read_curves_csv, render_svg, write_curves_csv
@@ -51,13 +50,8 @@ from .search import (
     ScoredCandidate,
     SearchConfig,
     candidate_count,
-    canonicalize_candidate,
-    enumerate_candidates,
     estimate_from_candidate,
     in_truth_orbit,
-    score_candidate_case1,
-    score_candidate_marginal,
-    score_candidate_paper,
     search,
     unrank_candidate,
 )

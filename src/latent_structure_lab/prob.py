@@ -169,17 +169,6 @@ def kl_divergence(p: Categorical, q: Categorical) -> float:
     return float(np.dot(pw, np.log(pw) - np.log(qw)))
 
 
-def log_likelihood(t: TallyVector, q: Categorical) -> float:
-    """Sum of counts_j * ln(q_j); -inf when data sits on a zero of q."""
-    if t.k != q.k:
-        raise ValueError(f"dimension mismatch: {t.k} vs {q.k}")
-    mask = t.counts > 0.0
-    qw = q.weights[mask]
-    if np.any(qw == 0.0):
-        return -math.inf
-    return float(np.dot(t.counts[mask], np.log(qw)))
-
-
 def dirichlet_mean(t: TallyVector, pseudocount: float = 1.0) -> Categorical:
     """Posterior mean under a symmetric Dirichlet prior with the given pseudocount."""
     if not pseudocount > 0.0:
@@ -224,7 +213,13 @@ def group_outcomes(patterns, grouping: Grouping) -> np.ndarray:
 
 
 def joint_from_grouping(grouping: Grouping, group_dists: Sequence[Categorical]) -> Categorical:
-    """Joint over 2**V implied by per-group distributions on a grouping."""
+    """Joint over 2**V implied by per-group distributions on a grouping.
+
+    The groups are multiplied in from left to right, as a per-pattern
+    product over the groups would take them, so each weight is the same
+    float; the product is indexed in slot order and its bit axes are then
+    moved to variable order.
+    """
     v = grouping.v
     _check_joint_capacity(v)
     if len(group_dists) != grouping.g:
@@ -233,11 +228,11 @@ def joint_from_grouping(grouping: Grouping, group_dists: Sequence[Categorical]) 
     for dist in group_dists:
         if dist.k != cell:
             raise ValueError(f"group distributions must have {cell} outcomes")
-    outcomes = group_outcomes(np.arange(1 << v, dtype=np.int64), grouping)
-    joint = np.ones(1 << v)
-    for j, dist in enumerate(group_dists):
-        joint *= dist.weights[outcomes[:, j]]
-    return Categorical(joint)
+    joint = np.ones(1)
+    for dist in group_dists:
+        joint = np.multiply.outer(joint, dist.weights).ravel()
+    order = [var for grp in grouping.slots for var in grp]
+    return Categorical(joint.reshape((2,) * v).transpose(np.argsort(order)).ravel())
 
 
 def total_variation(p: Categorical, q: Categorical) -> float:

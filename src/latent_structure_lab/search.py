@@ -11,14 +11,18 @@ T**G * V! / (T! * (S!)**T):
 
 Canonical form (the enumeration space) anchors both positionally so that
 every assignment pattern owns the same number of permutations, which gives
-closed-form mixed-radix unranking and clean rank-range chunking:
+mixed-radix ranks and clean rank-range chunking:
 
 - the first group's label is "a" (assignment patterns with A[0] = "a"),
 - the first group carrying each label keeps its slots in ascending order;
   a pattern using a single label pins group positions 0 and 1 instead.
 
 Candidates are totally ordered by rank: assignment pattern major,
-permutation minor. Enumeration, scoring, and the parallel top-k reduction
+permutation minor. Within a pattern, a rank's mixed-radix digits are
+walked through per-geometry tables (`_EnumTables`): digit j picks group j
+from the variables still unused and names the next set of unused
+variables. That one walk unranks whole scoring batches and the single
+top-k ranks alike. Enumeration, scoring, and the parallel top-k reduction
 are all pure functions of (dataset, config), so results are identical for
 any worker count.
 
@@ -42,7 +46,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,13 +109,6 @@ class ScoredCandidate:
     rank: int
 
 
-def _perm_count(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def _per_pattern(cfg: SearchConfig) -> int:
     """case12 candidates per assignment pattern."""
     return math.factorial(cfg.v) // math.factorial(cfg.s) ** cfg.num_types
@@ -145,15 +142,6 @@ def _pattern_from_index(idx: int, g: int, t: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _pattern_index(labels: Sequence[str], g: int, t: int) -> int:
-    if t == 1:
-        return 0
-    idx = 0
-    for j in range(1, g):
-        idx = (idx << 1) | (1 if labels[j] == "b" else 0)
-    return idx
-
-
 def _pin_positions(labels: Sequence[str], t: int) -> tuple[int, ...]:
     if t == 1:
         return (0,)
@@ -163,239 +151,30 @@ def _pin_positions(labels: Sequence[str], t: int) -> tuple[int, ...]:
     return (0, 1)
 
 
-def _unrank_combination(pool: list[int], s: int, r: int) -> tuple[list[int], list[int]]:
-    """r-th lexicographic s-subset of a sorted pool; returns (subset, rest)."""
-    chosen: list[int] = []
-    rest: list[int] = []
-    need = s
-    idx = 0
-    while need > 0:
-        block = math.comb(len(pool) - idx - 1, need - 1)
-        if r < block:
-            chosen.append(pool[idx])
-            need -= 1
-        else:
-            rest.append(pool[idx])
-            r -= block
-        idx += 1
-    rest.extend(pool[idx:])
-    return chosen, rest
-
-
-def _rank_combination(pool: list[int], chosen: Sequence[int]) -> int:
-    r = 0
-    need = len(chosen)
-    ci = 0
-    for idx, item in enumerate(pool):
-        if ci == need:
-            break
-        if item == chosen[ci]:
-            ci += 1
-        else:
-            r += math.comb(len(pool) - idx - 1, need - ci - 1)
-    return r
-
-
-def _unrank_arrangement(pool: list[int], s: int, r: int) -> tuple[list[int], list[int]]:
-    """r-th lexicographic ordered s-tuple from a sorted pool; (tuple, rest)."""
-    items = list(pool)
-    out: list[int] = []
-    for pos in range(s):
-        block = _perm_count(len(items) - 1, s - pos - 1)
-        i, r = divmod(r, block)
-        out.append(items.pop(i))
-    return out, items
-
-
-def _case12_groups_for_subrank(
-    v: int, g: int, s: int, pins: tuple[int, ...], subrank: int
-) -> list[tuple[int, ...]]:
-    pool = list(range(v))
-    radices = [
-        math.comb(v - j * s, s) if j in pins else _perm_count(v - j * s, s) for j in range(g)
-    ]
-    place = 1
-    for rad in radices:
-        place *= rad
-    groups: list[tuple[int, ...]] = []
-    rem = subrank
-    for j in range(g):
-        place //= radices[j]
-        digit, rem = divmod(rem, place)
-        if j in pins:
-            grp, pool = _unrank_combination(pool, s, digit)
-        else:
-            grp, pool = _unrank_arrangement(pool, s, digit)
-        groups.append(tuple(grp))
-    return groups
-
-
 def _case1_radices(v: int, g: int, s: int) -> list[int]:
     """Per level j: sorted S-subsets of the v - j*s unused variables that hold the smallest."""
     return [math.comb(v - j * s - 1, s - 1) for j in range(g)]
 
 
-def _case1_groups_for_rank(v: int, g: int, s: int, rank: int) -> list[tuple[int, ...]]:
-    pool = list(range(v))
-    radices = _case1_radices(v, g, s)
-    place = math.prod(radices)
-    groups: list[tuple[int, ...]] = []
-    rem = rank
-    for j in range(g):
-        place //= radices[j]
-        digit, rem = divmod(rem, place)
-        grp, pool = _unrank_combination(pool, s, digit)
-        groups.append(tuple(grp))
-    return groups
-
-
 def unrank_candidate(cfg: SearchConfig, rank: int) -> Candidate:
-    """The rank-th canonical candidate in the fixed total order."""
+    """The rank-th canonical candidate in the fixed total order: a one-row table walk."""
     total = candidate_count(cfg)
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} outside [0, {total})")
+    tables = _enum_tables(cfg.v, cfg.g, cfg.s, arrangements=cfg.mode == "case12")
     if cfg.mode == "case1":
-        groups = _case1_groups_for_rank(cfg.v, cfg.g, cfg.s, rank)
-        return Candidate(Grouping(tuple(groups)), None)
-    pattern_idx, subrank = divmod(rank, _per_pattern(cfg))
+        ids = tables.case1_ids(rank, rank + 1)[0]
+        return Candidate(Grouping(tuple(tables.tuples[i] for i in ids)), None)
+    pattern_idx, sub = divmod(rank, _per_pattern(cfg))
     labels = _pattern_from_index(pattern_idx, cfg.g, cfg.num_types)
-    pins = _pin_positions(labels, cfg.num_types)
-    groups = _case12_groups_for_subrank(cfg.v, cfg.g, cfg.s, pins, subrank)
-    return Candidate(Grouping(tuple(groups)), labels)
-
-
-def candidate_rank(cfg: SearchConfig, candidate: Candidate) -> int:
-    """Inverse of unrank_candidate; requires a canonical candidate."""
-    slots = candidate.grouping.slots
-    if cfg.mode == "case1":
-        pool = list(range(cfg.v))
-        rank = 0
-        for grp, radix in zip(slots, _case1_radices(cfg.v, cfg.g, cfg.s)):
-            if list(grp) != sorted(grp) or grp[0] != pool[0]:
-                raise ValueError("candidate is not in canonical form")
-            rank = rank * radix + _rank_combination(pool, grp)
-            pool = [x for x in pool if x not in grp]
-        return rank
-    labels = candidate.assignment
-    if labels is None or labels[0] != "a":
-        raise ValueError("candidate is not in canonical form")
-    pins = _pin_positions(labels, cfg.num_types)
-    pool = list(range(cfg.v))
-    subrank = 0
-    for j, grp in enumerate(slots):
-        if j in pins:
-            if list(grp) != sorted(grp):
-                raise ValueError("candidate is not in canonical form")
-            radix = math.comb(len(pool), cfg.s)
-            digit = _rank_combination(pool, sorted(grp))
-        else:
-            radix = _perm_count(len(pool), cfg.s)
-            digit = _arrangement_rank(pool, grp)
-        subrank = subrank * radix + digit
-        pool = [x for x in pool if x not in grp]
-    return _pattern_index(labels, cfg.g, cfg.num_types) * _per_pattern(cfg) + subrank
-
-
-def _arrangement_rank(pool: list[int], chosen: Sequence[int]) -> int:
-    items = list(pool)
-    r = 0
-    for pos, item in enumerate(chosen):
-        i = items.index(item)
-        r += i * _perm_count(len(items) - 1, len(chosen) - pos - 1)
-        items.pop(i)
-    return r
-
-
-def enumerate_candidates(cfg: SearchConfig, start: int = 0, end: int | None = None) -> Iterator[Candidate]:
-    """Yield canonical candidates with ranks in [start, end)."""
-    total = candidate_count(cfg)
-    if end is None:
-        end = total
-    if not 0 <= start <= end <= total:
-        raise ValueError(f"rank range [{start}, {end}) outside [0, {total}]")
-    for rank in range(start, end):
-        yield unrank_candidate(cfg, rank)
-
-
-def canonicalize_candidate(cfg: SearchConfig, candidate: Candidate) -> Candidate:
-    """Map a raw candidate to the canonical representative enumerated here.
-
-    Applies the type-label swap and the per-type simultaneous within-group
-    reorderings. For single-label case12 patterns the second positional pin
-    is enforced on group 1 alone; that move is a formal tie-down of the
-    enumeration slice rather than a score-preserving symmetry. In case1 mode
-    it sorts each group and orders the groups by their smallest variable.
-    """
-    if cfg.mode == "case1":
-        groups = sorted(tuple(sorted(grp)) for grp in candidate.grouping.slots)
-        return Candidate(Grouping(tuple(groups)), None)
-    labels = list(candidate.assignment or ())
-    if len(labels) != cfg.g:
-        raise ValueError("case12 candidates need an assignment")
-    if labels[0] == "b":
-        labels = ["a" if l == "b" else "b" for l in labels]
-    groups = [list(grp) for grp in candidate.grouping.slots]
-    for pin_pos, pin_label in _pins_with_labels(labels, cfg.num_types):
-        order = sorted(range(cfg.s), key=lambda i: groups[pin_pos][i])
-        if pin_label is None:
-            groups[pin_pos] = [groups[pin_pos][i] for i in order]
-        else:
-            for j, lab in enumerate(labels):
-                if lab == pin_label:
-                    groups[j] = [groups[j][i] for i in order]
-    return Candidate(Grouping(tuple(tuple(grp) for grp in groups)), tuple(labels))
-
-
-def _pins_with_labels(labels: Sequence[str], t: int) -> list[tuple[int, str | None]]:
-    if t == 1:
-        return [(0, "a")]
-    for j, lab in enumerate(labels):
-        if lab == "b":
-            return [(0, "a"), (j, "b")]
-    return [(0, "a"), (1, None)]
+    prefix, leaves = tables.case12_ids(_pin_positions(labels, cfg.num_types), sub, sub + 1)
+    ids = [*prefix[0], leaves[0, sub % leaves.shape[1]]]
+    return Candidate(Grouping(tuple(tables.tuples[i] for i in ids)), labels)
 
 
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
-
-
-def score_candidate_paper(patterns: Sequence[int], candidate: Candidate, cfg: SearchConfig) -> float:
-    """Plug-in log-score with self-inclusive pooled tallies.
-
-    Each slot observation is scored under its type's smoothed distribution
-    (1 + pooled count) / (2**S + G*|D|), with counts pooled over every slot
-    sharing the type, the scored observation included.
-    """
-    if len(patterns) == 0:
-        raise ValueError("cannot score an empty dataset")
-    if candidate.assignment is None:
-        raise ValueError("plug-in scorer needs a case12 candidate (with assignment)")
-    outcomes = group_outcomes(np.asarray(patterns, dtype=np.int64), candidate.grouping)
-    cell = 1 << cfg.s
-    log_denom = math.log(cell + cfg.g * len(patterns))
-    score = 0.0
-    for label in ("a", "b"):
-        cols = [j for j, lab in enumerate(candidate.assignment) if lab == label]
-        if not cols:
-            continue
-        pooled = np.bincount(outcomes[:, cols].ravel(), minlength=cell)
-        score += float(np.dot(pooled, np.log1p(pooled) - log_denom))
-    return score
-
-
-def score_candidate_case1(patterns: Sequence[int], grouping: Grouping, cfg: SearchConfig) -> float:
-    """Per-group analogue of the plug-in score, with no type pooling."""
-    if len(patterns) == 0:
-        raise ValueError("cannot score an empty dataset")
-    outcomes = group_outcomes(np.asarray(patterns, dtype=np.int64), grouping)
-    cell = 1 << cfg.s
-    log_denom = math.log(cell + len(patterns))
-    score = 0.0
-    for j in range(grouping.g):
-        tally = np.bincount(outcomes[:, j], minlength=cell)
-        score += float(np.dot(tally, np.log1p(tally) - log_denom))
-    return score
 
 
 def _lgamma_table(top: int) -> np.ndarray:
@@ -404,34 +183,6 @@ def _lgamma_table(top: int) -> np.ndarray:
     for m in range(1, top + 1):
         out[m] = math.lgamma(m)
     return out
-
-
-def score_candidate_marginal(patterns: Sequence[int], candidate: Candidate, cfg: SearchConfig) -> float:
-    """Exact Dirichlet-multinomial marginal log-likelihood (uniform prior).
-
-    The statistically orthodox alternative to the self-inclusive plug-in:
-    log integral of the likelihood under a flat Dirichlet per type (case12)
-    or per group (case1).
-    """
-    if len(patterns) == 0:
-        raise ValueError("cannot score an empty dataset")
-    outcomes = group_outcomes(np.asarray(patterns, dtype=np.int64), candidate.grouping)
-    cell = 1 << cfg.s
-    score = 0.0
-    if candidate.assignment is None:
-        for j in range(candidate.grouping.g):
-            tally = np.bincount(outcomes[:, j], minlength=cell)
-            score += math.lgamma(cell) - math.lgamma(cell + len(patterns))
-            score += float(sum(math.lgamma(1 + int(n)) for n in tally))
-        return score
-    for label in ("a", "b"):
-        cols = [j for j, lab in enumerate(candidate.assignment) if lab == label]
-        if not cols:
-            continue
-        pooled = np.bincount(outcomes[:, cols].ravel(), minlength=cell)
-        score += math.lgamma(cell) - math.lgamma(cell + len(cols) * len(patterns))
-        score += float(sum(math.lgamma(1 + int(n)) for n in pooled))
-    return score
 
 
 class _ScoreContext:
@@ -457,15 +208,11 @@ class _ScoreContext:
         self.n = len(patterns)
         v, s = cfg.v, cfg.s
         cell = 1 << s
-        case12 = cfg.mode == "case12"
-        n_tuples = _perm_count(v, s) if case12 else math.comb(v, s)
-        if n_tuples * cell > _MAX_TUPLE_TABLE:
-            raise CapacityError(f"tuple tally table would need {n_tuples * cell} cells")
-        self.tables = _enum_tables(v, cfg.g, s, arrangements=case12)
+        self.tables = _enum_tables(v, cfg.g, s, arrangements=cfg.mode == "case12")
         arr = np.asarray(patterns, dtype=np.int64)
         shifts = v - 1 - np.arange(v)
         bits = ((arr[None, :] >> shifts[:, None]) & 1).astype(np.int64)
-        tally = np.empty((n_tuples, cell), dtype=np.int64)
+        tally = np.empty((len(self.tables.tuples), cell), dtype=np.int64)
         for ti, tup in enumerate(self.tables.tuples):
             out = bits[tup[0]]
             for var in tup[1:]:
@@ -515,10 +262,12 @@ class _EnumTables:
     """Vectorized unranking tables for one (v, g, s) geometry.
 
     A level-j state is the set of variables still unused after j groups,
-    indexed within the sorted list of such sets. For each state and digit
-    the tables give the chosen group's tuple id and the next state, so
-    unranking a whole batch of ranks reduces to per-level 2-d gathers.
-    Ordered tuples and the arrangement tables are built only when
+    indexed in the order the build first reaches it: level j-1's states in
+    index order, each with its combination digits in order (level 1 at V=6,
+    S=2 runs (2,3,4,5), (1,3,4,5), ...). For each state and digit the
+    tables give the chosen group's tuple id and the next state, so
+    unranking a batch of ranks, or a single one, reduces to per-level 2-d
+    gathers. Ordered tuples and the arrangement tables are built only when
     `arrangements` is set (case12); case1 needs sorted tuples and the
     combination tables alone.
     """
@@ -529,34 +278,26 @@ class _EnumTables:
         self.tuples = list(tuples(range(v), s))
         self.tuple_index = {tup: i for i, tup in enumerate(self.tuples)}
         self.comb_radix = [math.comb(v - j * s, s) for j in range(g)]
-        self.arr_radix = [_perm_count(v - j * s, s) for j in range(g)]
+        self.arr_radix = [math.perm(v - j * s, s) for j in range(g)]
         self.comb: list[tuple[np.ndarray, np.ndarray]] = []
         self.arr: list[tuple[np.ndarray, np.ndarray]] = []
 
+        kinds = [(itertools.combinations, self.comb_radix, self.comb)]
+        if arrangements:
+            kinds.append((itertools.permutations, self.arr_radix, self.arr))
         states: list[tuple[int, ...]] = [tuple(range(v))]
         for j in range(g):
             next_index: dict[tuple[int, ...], int] = {}
-
-            def intern(pool: tuple[int, ...]) -> int:
-                return next_index.setdefault(pool, len(next_index))
-
-            n_states = len(states)
-            comb_id = np.empty((n_states, self.comb_radix[j]), dtype=np.int32)
-            comb_next = np.empty_like(comb_id)
-            for si, pool in enumerate(states):
-                for r, grp in enumerate(itertools.combinations(pool, s)):
-                    comb_id[si, r] = self.tuple_index[grp]
-                    comb_next[si, r] = intern(tuple(x for x in pool if x not in grp))
-            self.comb.append((comb_id, comb_next))
-            if arrangements:
-                arr_id = np.empty((n_states, self.arr_radix[j]), dtype=np.int32)
-                arr_next = np.empty_like(arr_id)
+            for choose, radix, tables in kinds:
+                tab_id = np.empty((len(states), radix[j]), dtype=np.int32)
+                tab_next = np.empty_like(tab_id)
                 for si, pool in enumerate(states):
-                    for r, grp in enumerate(itertools.permutations(pool, s)):
-                        arr_id[si, r] = self.tuple_index[grp]
-                        arr_next[si, r] = intern(tuple(x for x in pool if x not in grp))
-                self.arr.append((arr_id, arr_next))
-            states = [pool for pool, _ in sorted(next_index.items(), key=lambda kv: kv[1])]
+                    for r, grp in enumerate(choose(pool, s)):
+                        tab_id[si, r] = self.tuple_index[grp]
+                        rest = tuple(x for x in pool if x not in grp)
+                        tab_next[si, r] = next_index.setdefault(rest, len(next_index))
+                tables.append((tab_id, tab_next))
+            states = list(next_index)
 
     def case12_ids(
         self, pins: tuple[int, ...], sub_lo: int, sub_hi: int
@@ -601,8 +342,14 @@ _ENUM_TABLES: dict[tuple[int, int, int, bool], _EnumTables] = {}
 
 
 def _enum_tables(v: int, g: int, s: int, arrangements: bool) -> _EnumTables:
+    """The cached tables of one geometry; refused when its tuple tally table would be too big."""
     key = (v, g, s, arrangements)
     if key not in _ENUM_TABLES:
+        cells = (math.perm(v, s) if arrangements else math.comb(v, s)) << s
+        if cells > _MAX_TUPLE_TABLE:
+            raise CapacityError(
+                f"tuple tally table would need {cells} cells (limit {_MAX_TUPLE_TABLE})"
+            )
         _ENUM_TABLES[key] = _EnumTables(v, g, s, arrangements)
     return _ENUM_TABLES[key]
 
@@ -670,9 +417,11 @@ def search(patterns: Sequence[int], cfg: SearchConfig) -> list[ScoredCandidate]:
     chunk = max(1, -(-total // (cfg.workers * 64)))
     ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     patterns = [int(p) for p in patterns]
+    # Built before any pool starts: forked workers inherit the enumeration
+    # tables, and the final unranks below reuse them.
+    ctx = _ScoreContext(patterns, cfg)
 
     if cfg.workers == 1 or total <= _SCORE_BATCH:
-        ctx = _ScoreContext(patterns, cfg)
         parts = []
         for lo, hi in ranges:
             parts.append(_score_range(ctx, lo, hi, k))

@@ -1,0 +1,312 @@
+"""Slow scalar reference versions of library code, kept as test oracles.
+
+The library unranks, enumerates and scores candidates through the
+vectorized `_EnumTables` walk and `_ScoreContext`. The functions here do
+the same one candidate at a time with plain loops over pools of variables,
+so tests can check the fast paths against an independent implementation.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from latent_structure_lab.prob import Categorical, Grouping, TallyVector, group_outcomes
+from latent_structure_lab.search import (
+    Candidate,
+    SearchConfig,
+    _case1_radices,
+    _pattern_from_index,
+    _per_pattern,
+    _pin_positions,
+    candidate_count,
+    unrank_candidate,
+)
+
+
+def log_likelihood(t: TallyVector, q: Categorical) -> float:
+    """Sum of counts_j * ln(q_j); -inf when data sits on a zero of q."""
+    if t.k != q.k:
+        raise ValueError(f"dimension mismatch: {t.k} vs {q.k}")
+    mask = t.counts > 0.0
+    qw = q.weights[mask]
+    if np.any(qw == 0.0):
+        return -math.inf
+    return float(np.dot(t.counts[mask], np.log(qw)))
+
+
+# ---------------------------------------------------------------------------
+# Scalar unranking and ranking
+# ---------------------------------------------------------------------------
+
+
+def _unrank_combination(pool: list[int], s: int, r: int) -> tuple[list[int], list[int]]:
+    """r-th lexicographic s-subset of a sorted pool; returns (subset, rest)."""
+    chosen: list[int] = []
+    rest: list[int] = []
+    need = s
+    idx = 0
+    while need > 0:
+        block = math.comb(len(pool) - idx - 1, need - 1)
+        if r < block:
+            chosen.append(pool[idx])
+            need -= 1
+        else:
+            rest.append(pool[idx])
+            r -= block
+        idx += 1
+    rest.extend(pool[idx:])
+    return chosen, rest
+
+
+def _unrank_arrangement(pool: list[int], s: int, r: int) -> tuple[list[int], list[int]]:
+    """r-th lexicographic ordered s-tuple from a sorted pool; (tuple, rest)."""
+    items = list(pool)
+    out: list[int] = []
+    for pos in range(s):
+        block = math.perm(len(items) - 1, s - pos - 1)
+        i, r = divmod(r, block)
+        out.append(items.pop(i))
+    return out, items
+
+
+def _case12_groups_for_subrank(
+    v: int, g: int, s: int, pins: tuple[int, ...], subrank: int
+) -> list[tuple[int, ...]]:
+    pool = list(range(v))
+    radices = [
+        math.comb(v - j * s, s) if j in pins else math.perm(v - j * s, s) for j in range(g)
+    ]
+    place = math.prod(radices)
+    groups: list[tuple[int, ...]] = []
+    rem = subrank
+    for j in range(g):
+        place //= radices[j]
+        digit, rem = divmod(rem, place)
+        if j in pins:
+            grp, pool = _unrank_combination(pool, s, digit)
+        else:
+            grp, pool = _unrank_arrangement(pool, s, digit)
+        groups.append(tuple(grp))
+    return groups
+
+
+def _case1_groups_for_rank(v: int, g: int, s: int, rank: int) -> list[tuple[int, ...]]:
+    pool = list(range(v))
+    radices = _case1_radices(v, g, s)
+    place = math.prod(radices)
+    groups: list[tuple[int, ...]] = []
+    rem = rank
+    for j in range(g):
+        place //= radices[j]
+        digit, rem = divmod(rem, place)
+        grp, pool = _unrank_combination(pool, s, digit)
+        groups.append(tuple(grp))
+    return groups
+
+
+def oracle_unrank(cfg: SearchConfig, rank: int) -> Candidate:
+    """The rank-th canonical candidate by closed-form mixed-radix unranking."""
+    total = candidate_count(cfg)
+    if not 0 <= rank < total:
+        raise ValueError(f"rank {rank} outside [0, {total})")
+    if cfg.mode == "case1":
+        groups = _case1_groups_for_rank(cfg.v, cfg.g, cfg.s, rank)
+        return Candidate(Grouping(tuple(groups)), None)
+    pattern_idx, subrank = divmod(rank, _per_pattern(cfg))
+    labels = _pattern_from_index(pattern_idx, cfg.g, cfg.num_types)
+    pins = _pin_positions(labels, cfg.num_types)
+    groups = _case12_groups_for_subrank(cfg.v, cfg.g, cfg.s, pins, subrank)
+    return Candidate(Grouping(tuple(groups)), labels)
+
+
+def _pattern_index(labels: Sequence[str], g: int, t: int) -> int:
+    if t == 1:
+        return 0
+    idx = 0
+    for j in range(1, g):
+        idx = (idx << 1) | (1 if labels[j] == "b" else 0)
+    return idx
+
+
+def _rank_combination(pool: list[int], chosen: Sequence[int]) -> int:
+    r = 0
+    need = len(chosen)
+    ci = 0
+    for idx, item in enumerate(pool):
+        if ci == need:
+            break
+        if item == chosen[ci]:
+            ci += 1
+        else:
+            r += math.comb(len(pool) - idx - 1, need - ci - 1)
+    return r
+
+
+def _arrangement_rank(pool: list[int], chosen: Sequence[int]) -> int:
+    items = list(pool)
+    r = 0
+    for pos, item in enumerate(chosen):
+        i = items.index(item)
+        r += i * math.perm(len(items) - 1, len(chosen) - pos - 1)
+        items.pop(i)
+    return r
+
+
+def candidate_rank(cfg: SearchConfig, candidate: Candidate) -> int:
+    """Inverse of unrank_candidate; requires a canonical candidate."""
+    slots = candidate.grouping.slots
+    if cfg.mode == "case1":
+        pool = list(range(cfg.v))
+        rank = 0
+        for grp, radix in zip(slots, _case1_radices(cfg.v, cfg.g, cfg.s)):
+            if list(grp) != sorted(grp) or grp[0] != pool[0]:
+                raise ValueError("candidate is not in canonical form")
+            rank = rank * radix + _rank_combination(pool, grp)
+            pool = [x for x in pool if x not in grp]
+        return rank
+    labels = candidate.assignment
+    if labels is None or labels[0] != "a":
+        raise ValueError("candidate is not in canonical form")
+    pins = _pin_positions(labels, cfg.num_types)
+    pool = list(range(cfg.v))
+    subrank = 0
+    for j, grp in enumerate(slots):
+        if j in pins:
+            if list(grp) != sorted(grp):
+                raise ValueError("candidate is not in canonical form")
+            radix = math.comb(len(pool), cfg.s)
+            digit = _rank_combination(pool, sorted(grp))
+        else:
+            radix = math.perm(len(pool), cfg.s)
+            digit = _arrangement_rank(pool, grp)
+        subrank = subrank * radix + digit
+        pool = [x for x in pool if x not in grp]
+    return _pattern_index(labels, cfg.g, cfg.num_types) * _per_pattern(cfg) + subrank
+
+
+# ---------------------------------------------------------------------------
+# Enumeration and canonical form
+# ---------------------------------------------------------------------------
+
+
+def enumerate_candidates(cfg: SearchConfig, start: int = 0, end: int | None = None) -> Iterator[Candidate]:
+    """Yield canonical candidates with ranks in [start, end), by the library's unranker."""
+    total = candidate_count(cfg)
+    if end is None:
+        end = total
+    if not 0 <= start <= end <= total:
+        raise ValueError(f"rank range [{start}, {end}) outside [0, {total}]")
+    for rank in range(start, end):
+        yield unrank_candidate(cfg, rank)
+
+
+def _pins_with_labels(labels: Sequence[str], t: int) -> list[tuple[int, str | None]]:
+    if t == 1:
+        return [(0, "a")]
+    for j, lab in enumerate(labels):
+        if lab == "b":
+            return [(0, "a"), (j, "b")]
+    return [(0, "a"), (1, None)]
+
+
+def canonicalize_candidate(cfg: SearchConfig, candidate: Candidate) -> Candidate:
+    """Map a raw candidate to the canonical representative enumerated here.
+
+    Applies the type-label swap and the per-type simultaneous within-group
+    reorderings. For single-label case12 patterns the second positional pin
+    is enforced on group 1 alone; that move is a formal tie-down of the
+    enumeration slice rather than a score-preserving symmetry. In case1 mode
+    it sorts each group and orders the groups by their smallest variable.
+    """
+    if cfg.mode == "case1":
+        groups = sorted(tuple(sorted(grp)) for grp in candidate.grouping.slots)
+        return Candidate(Grouping(tuple(groups)), None)
+    labels = list(candidate.assignment or ())
+    if len(labels) != cfg.g:
+        raise ValueError("case12 candidates need an assignment")
+    if labels[0] == "b":
+        labels = ["a" if l == "b" else "b" for l in labels]
+    groups = [list(grp) for grp in candidate.grouping.slots]
+    for pin_pos, pin_label in _pins_with_labels(labels, cfg.num_types):
+        order = sorted(range(cfg.s), key=lambda i: groups[pin_pos][i])
+        if pin_label is None:
+            groups[pin_pos] = [groups[pin_pos][i] for i in order]
+        else:
+            for j, lab in enumerate(labels):
+                if lab == pin_label:
+                    groups[j] = [groups[j][i] for i in order]
+    return Candidate(Grouping(tuple(tuple(grp) for grp in groups)), tuple(labels))
+
+
+# ---------------------------------------------------------------------------
+# Per-candidate scorers
+# ---------------------------------------------------------------------------
+
+
+def score_candidate_paper(patterns: Sequence[int], candidate: Candidate, cfg: SearchConfig) -> float:
+    """Plug-in log-score with self-inclusive pooled tallies.
+
+    Each slot observation is scored under its type's smoothed distribution
+    (1 + pooled count) / (2**S + G*|D|), with counts pooled over every slot
+    sharing the type, the scored observation included.
+    """
+    if len(patterns) == 0:
+        raise ValueError("cannot score an empty dataset")
+    if candidate.assignment is None:
+        raise ValueError("plug-in scorer needs a case12 candidate (with assignment)")
+    outcomes = group_outcomes(np.asarray(patterns, dtype=np.int64), candidate.grouping)
+    cell = 1 << cfg.s
+    log_denom = math.log(cell + cfg.g * len(patterns))
+    score = 0.0
+    for label in ("a", "b"):
+        cols = [j for j, lab in enumerate(candidate.assignment) if lab == label]
+        if not cols:
+            continue
+        pooled = np.bincount(outcomes[:, cols].ravel(), minlength=cell)
+        score += float(np.dot(pooled, np.log1p(pooled) - log_denom))
+    return score
+
+
+def score_candidate_case1(patterns: Sequence[int], grouping: Grouping, cfg: SearchConfig) -> float:
+    """Per-group analogue of the plug-in score, with no type pooling."""
+    if len(patterns) == 0:
+        raise ValueError("cannot score an empty dataset")
+    outcomes = group_outcomes(np.asarray(patterns, dtype=np.int64), grouping)
+    cell = 1 << cfg.s
+    log_denom = math.log(cell + len(patterns))
+    score = 0.0
+    for j in range(grouping.g):
+        tally = np.bincount(outcomes[:, j], minlength=cell)
+        score += float(np.dot(tally, np.log1p(tally) - log_denom))
+    return score
+
+
+def score_candidate_marginal(patterns: Sequence[int], candidate: Candidate, cfg: SearchConfig) -> float:
+    """Exact Dirichlet-multinomial marginal log-likelihood (uniform prior).
+
+    The statistically orthodox alternative to the self-inclusive plug-in:
+    log integral of the likelihood under a flat Dirichlet per type (case12)
+    or per group (case1).
+    """
+    if len(patterns) == 0:
+        raise ValueError("cannot score an empty dataset")
+    outcomes = group_outcomes(np.asarray(patterns, dtype=np.int64), candidate.grouping)
+    cell = 1 << cfg.s
+    score = 0.0
+    if candidate.assignment is None:
+        for j in range(candidate.grouping.g):
+            tally = np.bincount(outcomes[:, j], minlength=cell)
+            score += math.lgamma(cell) - math.lgamma(cell + len(patterns))
+            score += float(sum(math.lgamma(1 + int(n)) for n in tally))
+        return score
+    for label in ("a", "b"):
+        cols = [j for j, lab in enumerate(candidate.assignment) if lab == label]
+        if not cols:
+            continue
+        pooled = np.bincount(outcomes[:, cols].ravel(), minlength=cell)
+        score += math.lgamma(cell) - math.lgamma(cell + len(cols) * len(patterns))
+        score += float(sum(math.lgamma(1 + int(n)) for n in pooled))
+    return score

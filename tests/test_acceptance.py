@@ -35,11 +35,7 @@ from latent_structure_lab.search import (
     Candidate,
     SearchConfig,
     candidate_count,
-    canonicalize_candidate,
-    enumerate_candidates,
     in_truth_orbit,
-    score_candidate_case1,
-    score_candidate_paper,
     search,
     unrank_candidate,
 )
@@ -48,6 +44,12 @@ from latent_structure_lab.simulate import (
     build_bitvector_truth,
     draw_bitvector,
     true_joint,
+)
+from oracles import (
+    canonicalize_candidate,
+    enumerate_candidates,
+    score_candidate_case1,
+    score_candidate_paper,
 )
 
 RECOVERY_SEEDS = 50

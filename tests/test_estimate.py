@@ -22,10 +22,10 @@ from latent_structure_lab.prob import (
     dirichlet_mean,
     joint_from_grouping,
     kl_divergence,
-    log_likelihood,
 )
 from latent_structure_lab.rng import RngState, derive_seed, next_unit
 from latent_structure_lab.simulate import BitsConfig, build_bitvector_truth, draw_bitvector
+from oracles import log_likelihood
 
 CFG = EstimatorConfig()
 

@@ -13,9 +13,9 @@ from latent_structure_lab.prob import (
     joint_from_grouping,
     joint_from_independent_bits,
     kl_divergence,
-    log_likelihood,
     total_variation,
 )
+from oracles import log_likelihood
 
 
 def random_categorical(rng, k):
@@ -170,7 +170,36 @@ class TestJointFromIndependentBits:
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def oracle_joint_from_grouping(grouping, group_dists):
+    """Per-pattern gather: each group's weight at its outcome, multiplied in group order."""
+    outcomes = group_outcomes(np.arange(1 << grouping.v, dtype=np.int64), grouping)
+    joint = np.ones(1 << grouping.v)
+    for j, dist in enumerate(group_dists):
+        joint *= dist.weights[outcomes[:, j]]
+    return joint
+
+
 class TestJointFromGrouping:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 6])
+    def test_equals_gather_oracle_bit_for_bit(self, s):
+        rng = np.random.default_rng(40 + s)
+        for v in range(max(2, s), 13, s):
+            for _ in range(20):
+                g = Grouping(tuple(map(tuple, rng.permutation(v).reshape(v // s, s))))
+                dists = [random_categorical(rng, 1 << s) for _ in range(v // s)]
+                got = joint_from_grouping(g, dists).weights
+                want = oracle_joint_from_grouping(g, dists)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_rejects_mismatched_distributions(self):
+        g = Grouping(((0, 1), (2, 3)))
+        with pytest.raises(ValueError, match="expected 2 group distributions"):
+            joint_from_grouping(g, [Categorical.uniform(4)])
+        with pytest.raises(ValueError, match="must have 4 outcomes"):
+            joint_from_grouping(g, [Categorical.uniform(4), Categorical.uniform(2)])
+        with pytest.raises(CapacityError):
+            joint_from_grouping(Grouping.identity(21, 3), [Categorical.uniform(8)] * 7)
+
     def test_single_group_is_the_joint(self):
         dist = Categorical(np.array([0.1, 0.2, 0.3, 0.4]))
         joint = joint_from_grouping(Grouping(((0, 1),)), [dist])

@@ -16,17 +16,12 @@ from latent_structure_lab.search import (
     SCORERS,
     Candidate,
     SearchConfig,
+    _per_pattern,
     _ScoreContext,
     _score_range,
     candidate_count,
-    candidate_rank,
-    canonicalize_candidate,
-    enumerate_candidates,
     estimate_from_candidate,
     in_truth_orbit,
-    score_candidate_case1,
-    score_candidate_marginal,
-    score_candidate_paper,
     search,
     search_result_jsonable,
     unrank_candidate,
@@ -39,11 +34,28 @@ from latent_structure_lab.simulate import (
     draw_bitvector,
     true_joint,
 )
+from oracles import (
+    candidate_rank,
+    canonicalize_candidate,
+    enumerate_candidates,
+    oracle_unrank,
+    score_candidate_case1,
+    score_candidate_marginal,
+    score_candidate_paper,
+)
 
 search_module = importlib.import_module("latent_structure_lab.search")
 
 CFG6 = SearchConfig(v=6, g=2, s=3, num_types=2, mode="case12")
 CFG6_C1 = SearchConfig(v=6, g=2, s=3, num_types=1, mode="case1")
+ENUMERATION_CONFIGS = [
+    CFG6,
+    CFG6_C1,
+    SearchConfig(v=6, g=3, s=2, num_types=2, mode="case12"),
+    SearchConfig(v=8, g=4, s=2, num_types=2, mode="case12"),
+    SearchConfig(v=8, g=4, s=2, num_types=1, mode="case1"),
+    SearchConfig(v=4, g=2, s=2, num_types=1, mode="case12"),
+]
 
 
 def draw_patterns(truth, seed, n):
@@ -137,17 +149,7 @@ class TestCandidateCount:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            CFG6,
-            CFG6_C1,
-            SearchConfig(v=6, g=3, s=2, num_types=2, mode="case12"),
-            SearchConfig(v=8, g=4, s=2, num_types=2, mode="case12"),
-            SearchConfig(v=8, g=4, s=2, num_types=1, mode="case1"),
-            SearchConfig(v=4, g=2, s=2, num_types=1, mode="case12"),
-        ],
-    )
+    @pytest.mark.parametrize("cfg", ENUMERATION_CONFIGS)
     def test_count_identity_uniqueness_canonical(self, cfg):
         seen = set()
         for rank, cand in enumerate(enumerate_candidates(cfg)):
@@ -189,6 +191,82 @@ class TestEnumeration:
             for raw in all_raw_candidates(6, 2, 3, with_assignment=False)
         }
         assert images == canonical
+
+
+class TestOneUnranker:
+    """The library's table-walk unranker equals the scalar mixed-radix oracle."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        ENUMERATION_CONFIGS
+        + [
+            SearchConfig(v=9, g=3, s=3, num_types=2, mode="case12"),
+            SearchConfig(v=9, g=3, s=3, num_types=1, mode="case12"),
+            SearchConfig(v=9, g=3, s=3, num_types=1, mode="case1"),
+            SearchConfig(v=12, g=4, s=3, num_types=1, mode="case1"),
+        ],
+    )
+    def test_every_rank_matches_oracle(self, cfg):
+        for rank in range(candidate_count(cfg)):
+            assert unrank_candidate(cfg, rank) == oracle_unrank(cfg, rank)
+
+    def test_v12_case12_sample_matches_oracle(self):
+        # per pattern: the first two ranks, both sides of the first prefix
+        # boundary (last radix 6 or 1) and the last rank; plus a seeded sample
+        cfg = SearchConfig(v=12, g=4, s=3, num_types=2, mode="case12")
+        per = _per_pattern(cfg)
+        ranks = [
+            base + offset
+            for base in range(0, candidate_count(cfg), per)
+            for offset in (0, 1, 5, 6, per - 1)
+        ]
+        ranks += np.random.default_rng(12).integers(candidate_count(cfg), size=20_000).tolist()
+        for rank in ranks:
+            assert unrank_candidate(cfg, rank) == oracle_unrank(cfg, rank)
+
+    def test_out_of_range(self):
+        for rank in (-1, candidate_count(CFG6)):
+            with pytest.raises(ValueError):
+                unrank_candidate(CFG6, rank)
+
+    def test_capacity_guard_precedes_table_build(self):
+        # 20P5 ordered 5-tuples x 32 cells = 59,535,360 tally cells
+        cfg = SearchConfig(v=20, g=4, s=5, mode="case12")
+        with pytest.raises(CapacityError, match=f"limit {search_module._MAX_TUPLE_TABLE}"):
+            unrank_candidate(cfg, 0)
+        assert (20, 4, 5, True) not in search_module._ENUM_TABLES
+
+    def test_pool_search_builds_tables_once_in_parent(self, monkeypatch):
+        built = []
+        unranked_after = []
+        pool_starts = []
+
+        class CountingTables(search_module._EnumTables):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        class CountingPool(search_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pool_starts.append(len(built))
+                super().__init__(*args, **kwargs)
+
+        def counting_unrank(cfg, rank):
+            unranked_after.append(len(built))
+            return unrank_candidate(cfg, rank)
+
+        monkeypatch.setattr(search_module, "_ENUM_TABLES", {})
+        monkeypatch.setattr(search_module, "_EnumTables", CountingTables)
+        monkeypatch.setattr(search_module, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(search_module, "unrank_candidate", counting_unrank)
+        patterns = draw_patterns(build_bitvector_truth(BitsConfig(v=8, g=4, s=2), 5), 6, 200)
+        cfg = SearchConfig(v=8, g=4, s=2, mode="case12", workers=2, top_k=7)
+        results = search(patterns, cfg)
+        # the tables exist before the pool starts, and the top-k unranks build none
+        assert built == [(8, 4, 2, True)]
+        assert pool_starts == [1]
+        assert unranked_after == [1] * 7
+        assert [r.candidate for r in results] == [oracle_unrank(cfg, r.rank) for r in results]
 
 
 class TestPaperScorer:
@@ -434,9 +512,9 @@ class TestCase1Partitions:
 
 @functools.cache
 def unranked_space(cfg):
-    """Ordered-tuple ids and assignments of every candidate, by the scalar unranker."""
+    """Ordered-tuple ids and assignments of every candidate, by the scalar oracle unranker."""
     tuple_index = {tup: i for i, tup in enumerate(itertools.permutations(range(cfg.v), cfg.s))}
-    cands = [unrank_candidate(cfg, rank) for rank in range(candidate_count(cfg))]
+    cands = [oracle_unrank(cfg, rank) for rank in range(candidate_count(cfg))]
     ids = np.array([[tuple_index[grp] for grp in c.grouping.slots] for c in cands])
     return ids, [c.assignment for c in cands]
 
@@ -569,7 +647,7 @@ class TestResultSerialization:
 
 
 class TestGoldenDigests:
-    """sha256 of the case12 top-k result file, pinned across scorer changes."""
+    """sha256 of the top-k result file, pinned across scorer and unranker changes."""
 
     GOLDEN = {
         (8, "paper_plugin"): "618ef44c3ac9018cbfd9eb501c30bcb9d1165750aa6dc6ec6bba2816d0ad2729",
@@ -577,6 +655,21 @@ class TestGoldenDigests:
         (9, "paper_plugin"): "67a2f130e7e9473d27e7f84b169473ea890bcbed4120d21f085c535f78f6928c",
         (9, "dirichlet_marginal"): "bced9299fe9801aa562c64048c96d206d784306194df8631407207da140492c3",
     }
+    GOLDEN_CASE1 = {
+        (9, "paper_plugin"): "280f77ecdcf72b1f03c77f91bde38d71cc162769e6ce1dacb89758acf4e1e632",
+        (9, "dirichlet_marginal"): "89a0a642227f7b921c08ea68ba8e31baf5b40c6389b076dad0fb22b197c1e91d",
+        (12, "paper_plugin"): "8310a1b020f528755530b109781f66c30dffa5cdc2146d067e0699fc01d76053",
+        (12, "dirichlet_marginal"): "5bbe75a2c3e94c2931ca5fa730b2770a19a0a6c4e7c60c4b69d414cf0e7cfa75",
+    }
+
+    @pytest.mark.parametrize("v, scorer", sorted(GOLDEN_CASE1))
+    def test_case1_result_bytes(self, tmp_path, v, scorer):
+        truth = build_bitvector_truth(BitsConfig(v=v, g=v // 3, s=3), 70 + v)
+        patterns = draw_patterns(truth, 71 + v, 300)
+        cfg = SearchConfig(v=v, g=v // 3, s=3, num_types=1, mode="case1", scorer=scorer, top_k=10)
+        path = tmp_path / "topk.json"
+        write_search_result(path, cfg, dataset_digest(patterns, v), search(patterns, cfg))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_CASE1[(v, scorer)]
 
     @pytest.mark.parametrize("v, scorer", sorted(GOLDEN))
     def test_case12_result_bytes(self, tmp_path, v, scorer):
