@@ -8,6 +8,7 @@ from .estimate import (
     EmResult,
     EstimatorConfig,
     em_two_type,
+    em_two_type_many,
     grouped_known_estimate,
     group_tallies,
     independent_bits_estimate,
@@ -44,7 +45,7 @@ from .prob import (
     total_variation,
 )
 from .report import read_curves_csv, render_svg, write_curves_csv
-from .rng import RngState, derive_seed, next_u64, next_unit
+from .rng import RngState, derive_seed, next_u64, next_unit, next_units
 from .search import (
     Candidate,
     ScoredCandidate,
@@ -67,7 +68,9 @@ from .simulate import (
     build_urn_truth,
     dataset_digest,
     draw_bitvector,
+    draw_bitvectors,
     draw_urn_sample,
+    draw_urn_samples,
     read_bits_dataset,
     read_model,
     read_urn_dataset,

@@ -42,12 +42,13 @@ from .simulate import (
     ConfigError,
     DatasetParseError,
     UrnConfig,
+    UrnSample,
     UrnTruth,
     build_bitvector_truth,
     build_urn_truth,
     dataset_digest,
-    draw_bitvector,
-    draw_urn_sample,
+    draw_bitvectors,
+    draw_urn_samples,
     read_bits_dataset,
     read_model,
     read_urn_dataset,
@@ -104,20 +105,16 @@ def _cmd_gen_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise UsageError(f"--n must be >= 0, got {args.n}")
     truth = read_model(args.model)
     rng = RngState(args.seed)
     if isinstance(truth, UrnTruth):
-        samples = []
-        for _ in range(args.n):
-            sample, rng = draw_urn_sample(truth, rng)
-            samples.append(sample)
-        write_urn_dataset(args.out, samples)
+        rows, _ = draw_urn_samples(truth, rng, args.n)
+        write_urn_dataset(args.out, (UrnSample(urn, color) for urn, color in rows.tolist()))
     else:
-        patterns = []
-        for _ in range(args.n):
-            pattern, rng = draw_bitvector(truth, rng)
-            patterns.append(pattern)
-        write_bits_dataset(args.out, patterns, truth.v)
+        patterns, _ = draw_bitvectors(truth, rng, args.n)
+        write_bits_dataset(args.out, patterns.tolist(), truth.v)
     _info(f"wrote {args.n} samples to {args.out}")
     return 0
 

@@ -19,7 +19,7 @@ import numpy as np
 from .estimate import (
     EstimatorConfig,
     TallyVector,
-    em_two_type,
+    em_two_type_many,
     grouped_known_estimate,
     independent_bits_estimate,
     joint_dirichlet_estimate,
@@ -41,8 +41,8 @@ from .simulate import (
     UrnTruth,
     build_bitvector_truth,
     build_urn_truth,
-    draw_bitvector,
-    draw_urn_sample,
+    draw_bitvectors,
+    draw_urn_samples,
     true_joint,
 )
 
@@ -122,9 +122,12 @@ class ExperimentSpec:
         bad = [c for c in self.cases if c not in BIT_CASES]
         if bad:
             raise ValueError(f"unknown case ids {bad}; valid: {list(BIT_CASES)}")
-        for cp in self.checkpoints or ():
+        cps = self.checkpoints or ()
+        for cp in cps:
             if not 1 <= cp <= self.n_samples:
                 raise ValueError(f"checkpoint {cp} outside [1, {self.n_samples}]")
+        if any(b <= a for a, b in zip(cps, cps[1:])):
+            raise ValueError("checkpoints must be strictly increasing")
 
 
 def default_checkpoints(n_samples: int) -> tuple[int, ...]:
@@ -212,27 +215,34 @@ def _per_urn_curves(label: str, grid, per_urn_kls) -> KlCurve:
     return KlCurve(label=label, points=tuple(zip(grid, totals)), per_unit=subs)
 
 
+def _checkpoint_counts(samples: np.ndarray, grid: Sequence[int], n_urns: int, k: int) -> np.ndarray:
+    """(C, urns, colors) tallies of the first grid[c] samples: one bincount of
+    the samples tagged with their segment (grid[c-1], grid[c]], then a
+    running sum over segments."""
+    segment = np.searchsorted(grid, np.arange(1, len(samples) + 1), side="left")
+    cells = n_urns * k
+    flat = segment * cells + samples[:, 0] * k + samples[:, 1]
+    per_segment = np.bincount(flat, minlength=(len(grid) + 1) * cells)[: len(grid) * cells]
+    return np.cumsum(per_segment.reshape(len(grid), n_urns, k), axis=0).astype(np.float64)
+
+
 def _four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrnsRun:
     run_seed = derive_seed(spec.base_seed, run_index)
     truth = build_urn_truth(spec.urn_config, _truth_seed(spec, run_seed))
-    rng = RngState(derive_seed(run_seed, 2))
+    samples, _ = draw_urn_samples(truth, RngState(derive_seed(run_seed, 2)), spec.n_samples)
     n_urns = truth.n_urns
-    k = truth.n_colors
-    counts = np.zeros((n_urns, k))
-    urn1_samples: list[int] = []
     grid = _curve_checkpoints(spec) or ((0,) if spec.n_samples == 0 else ())
     truths = [truth.urn_dist(i) for i in range(n_urns)]
+    counts = _checkpoint_counts(samples, grid, n_urns, truth.n_colors)
+    ems = em_two_type_many(
+        counts, spec.estimator, [derive_seed(run_seed, 1000 + c) for c in range(len(grid))]
+    )
 
     raw_rows: list[list[float]] = []
     ours_rows: list[list[float]] = []
     hard_rows: list[list[float]] = []
-
-    def evaluate(checkpoint_index: int) -> None:
-        tallies = [TallyVector(counts[i]) for i in range(n_urns)]
-        raw_est = raw_tally_estimate(tallies, spec.estimator)
-        em = em_two_type(
-            tallies, spec.estimator, derive_seed(run_seed, 1000 + checkpoint_index)
-        )
+    for cp_counts, em in zip(counts, ems):
+        raw_est = raw_tally_estimate([TallyVector(row) for row in cp_counts], spec.estimator)
         ours_est = per_unit_mixture(em)
         raw_rows.append([kl_divergence(truths[i], raw_est[i]) for i in range(n_urns)])
         ours_rows.append([kl_divergence(truths[i], ours_est[i]) for i in range(n_urns)])
@@ -240,26 +250,12 @@ def _four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrnsRun:
             hard_est = per_unit_mixture(em, hard=True)
             hard_rows.append([kl_divergence(truths[i], hard_est[i]) for i in range(n_urns)])
 
-    cp_iter = iter(enumerate(grid))
-    next_cp = next(cp_iter, None)
-    if spec.n_samples == 0 and grid == (0,):
-        evaluate(0)
-        next_cp = None
-    for t in range(1, spec.n_samples + 1):
-        sample, rng = draw_urn_sample(truth, rng)
-        counts[sample.urn_id, sample.color] += 1.0
-        if sample.urn_id == 0:
-            urn1_samples.append(t)
-        while next_cp is not None and next_cp[1] == t:
-            evaluate(next_cp[0])
-            next_cp = next(cp_iter, None)
-
     return FourUrnsRun(
         truth=truth,
         raw=_per_urn_curves("raw", grid, raw_rows),
         ours=_per_urn_curves("ours", grid, ours_rows),
         ours_hard=_per_urn_curves("ours_hard", grid, hard_rows) if spec.emit_hard_readout else None,
-        urn1_samples=tuple(urn1_samples),
+        urn1_samples=tuple((np.flatnonzero(samples[:, 0] == 0) + 1).tolist()),
     )
 
 
@@ -359,17 +355,13 @@ class _SearchCase:
 def _bitvectors_single_run(spec: ExperimentSpec, run_index: int) -> BitVectorsRun:
     run_seed = derive_seed(spec.base_seed, run_index)
     truth = build_bitvector_truth(spec.bits_config, _truth_seed(spec, run_seed))
-    rng = RngState(derive_seed(run_seed, 2))
-    patterns: list[int] = []
-    for _ in range(spec.n_samples):
-        pattern, rng = draw_bitvector(truth, rng)
-        patterns.append(pattern)
+    arr, _ = draw_bitvectors(truth, RngState(derive_seed(run_seed, 2)), spec.n_samples)
+    patterns: list[int] = arr.tolist()
 
     v = truth.v
     joint = true_joint(truth)
     grid = _curve_checkpoints(spec)
     grouping = truth.hidden_grouping
-    arr = np.asarray(patterns, dtype=np.int64)
     bit_prefix = np.cumsum(((arr[:, None] >> (v - 1 - np.arange(v))) & 1), axis=0)
 
     searchers = {

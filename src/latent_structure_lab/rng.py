@@ -44,6 +44,21 @@ def next_unit(rng: RngState) -> tuple[float, RngState]:
     return (z >> 11) / _UNIT, rng
 
 
+def next_units(rng: RngState, n: int) -> tuple[np.ndarray, RngState]:
+    """n unit draws at once and the advanced state, equal to n next_unit calls.
+
+    The j-th step's state is seed + j*golden (mod 2**64), so the whole
+    stream is computed in wrapping uint64 arithmetic without a loop.
+    """
+    if n < 0:
+        raise ValueError(f"cannot draw {n} units")
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(rng.state)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) / _UNIT, RngState(rng.state + n * _GOLDEN)
+
+
 def derive_seed(base: int, index: int) -> int:
     """Stable sub-seed: the first output of a stream seeded with base+index."""
     z, _ = next_u64(RngState(base + index))

@@ -60,6 +60,9 @@ SCORERS = ("paper_plugin", "dirichlet_marginal")
 
 _MAX_RANK = 1 << 63
 _MAX_TUPLE_TABLE = 50_000_000
+# (state, digit) entries over all levels of one geometry's _EnumTables, each
+# two int32s; the V=12 case12 tables hold 261,800 of them.
+_MAX_TABLE_ENTRIES = 10_000_000
 ORBIT_JOINT_TOL = 1e-12
 
 
@@ -341,14 +344,29 @@ class _EnumTables:
 _ENUM_TABLES: dict[tuple[int, int, int, bool], _EnumTables] = {}
 
 
+def _table_entries(v: int, g: int, s: int, arrangements: bool) -> int:
+    """Entries _EnumTables builds: per level j, C(v, j*s) states times the level's radices."""
+    total = 0
+    for j in range(g):
+        left = v - j * s
+        radix = math.comb(left, s) + (math.perm(left, s) if arrangements else 0)
+        total += math.comb(v, j * s) * radix
+    return total
+
+
 def _enum_tables(v: int, g: int, s: int, arrangements: bool) -> _EnumTables:
-    """The cached tables of one geometry; refused when its tuple tally table would be too big."""
+    """The cached tables of one geometry; refused when they or its tuple tally table would be too big."""
     key = (v, g, s, arrangements)
     if key not in _ENUM_TABLES:
         cells = (math.perm(v, s) if arrangements else math.comb(v, s)) << s
         if cells > _MAX_TUPLE_TABLE:
             raise CapacityError(
                 f"tuple tally table would need {cells} cells (limit {_MAX_TUPLE_TABLE})"
+            )
+        entries = _table_entries(v, g, s, arrangements)
+        if entries > _MAX_TABLE_ENTRIES:
+            raise CapacityError(
+                f"enumeration tables would need {entries} entries (limit {_MAX_TABLE_ENTRIES})"
             )
         _ENUM_TABLES[key] = _EnumTables(v, g, s, arrangements)
     return _ENUM_TABLES[key]

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .prob import Categorical, Grouping, joint_from_grouping, total_variation
-from .rng import RngState, draw_index, next_unit, shuffled
+from .rng import RngState, draw_index, next_unit, next_units, shuffled
 
 MODEL_FORMAT_VERSION = 1
 
@@ -172,6 +172,23 @@ def draw_urn_sample(truth: UrnTruth, rng: RngState) -> tuple[UrnSample, RngState
     return UrnSample(urn_id=urn, color=color), rng
 
 
+def _inverse_cdf(weights: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """draw_index for many units: the same cumulative sums, clipped to the last index."""
+    return np.minimum(np.searchsorted(np.cumsum(weights), units, side="right"), len(weights) - 1)
+
+
+def draw_urn_samples(truth: UrnTruth, rng: RngState, n: int) -> tuple[np.ndarray, RngState]:
+    """n draw_urn_sample calls at once: an (n, 2) array of (urn, color) rows."""
+    units, rng = next_units(rng, 2 * n)
+    units = units.reshape(n, 2)
+    out = np.empty((n, 2), dtype=np.int64)
+    out[:, 0] = _inverse_cdf(truth.urn_weights.weights, units[:, 0])
+    for urn in range(truth.n_urns):
+        rows = out[:, 0] == urn
+        out[rows, 1] = _inverse_cdf(truth.urn_dist(urn).weights, units[rows, 1])
+    return out, rng
+
+
 def build_bitvector_truth(config: BitsConfig, seed: int) -> BitVectorTruth:
     """Deterministically build a bit-vector truth from (config, seed).
 
@@ -211,6 +228,21 @@ def draw_bitvector(truth: BitVectorTruth, rng: RngState) -> tuple[int, RngState]
             bit = (outcome >> (s - 1 - pos)) & 1
             pattern |= bit << (v - 1 - var)
     return pattern, rng
+
+
+def draw_bitvectors(truth: BitVectorTruth, rng: RngState, n: int) -> tuple[np.ndarray, RngState]:
+    """n draw_bitvector calls at once: the patterns as an array (object dtype past 63 bits)."""
+    v = truth.v
+    s = truth.hidden_grouping.s
+    units, rng = next_units(rng, n * truth.hidden_grouping.g)
+    units = units.reshape(n, truth.hidden_grouping.g)
+    patterns = np.zeros(n, dtype=np.int64 if v <= 63 else object)
+    for j, grp in enumerate(truth.hidden_grouping.slots):
+        outcome = _inverse_cdf(truth.group_dist(j).weights, units[:, j])
+        for pos, var in enumerate(grp):
+            bit = ((outcome >> (s - 1 - pos)) & 1).astype(patterns.dtype)
+            patterns |= bit << (v - 1 - var)
+    return patterns, rng
 
 
 def true_joint(truth: BitVectorTruth) -> Categorical:

@@ -4,6 +4,8 @@ The library unranks, enumerates and scores candidates through the
 vectorized `_EnumTables` walk and `_ScoreContext`. The functions here do
 the same one candidate at a time with plain loops over pools of variables,
 so tests can check the fast paths against an independent implementation.
+`oracle_four_urns_single_run` likewise draws a four-urns run one sample at
+a time and fits each checkpoint with its own em_two_type call.
 """
 
 from __future__ import annotations
@@ -13,7 +15,22 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from latent_structure_lab.prob import Categorical, Grouping, TallyVector, group_outcomes
+from latent_structure_lab.estimate import em_two_type, per_unit_mixture, raw_tally_estimate
+from latent_structure_lab.experiment import (
+    ExperimentSpec,
+    FourUrnsRun,
+    _curve_checkpoints,
+    _per_urn_curves,
+    _truth_seed,
+)
+from latent_structure_lab.prob import (
+    Categorical,
+    Grouping,
+    TallyVector,
+    group_outcomes,
+    kl_divergence,
+)
+from latent_structure_lab.rng import RngState, derive_seed
 from latent_structure_lab.search import (
     Candidate,
     SearchConfig,
@@ -24,6 +41,7 @@ from latent_structure_lab.search import (
     candidate_count,
     unrank_candidate,
 )
+from latent_structure_lab.simulate import build_urn_truth, draw_urn_sample
 
 
 def log_likelihood(t: TallyVector, q: Categorical) -> float:
@@ -310,3 +328,57 @@ def score_candidate_marginal(patterns: Sequence[int], candidate: Candidate, cfg:
         score += math.lgamma(cell) - math.lgamma(cell + len(cols) * len(patterns))
         score += float(sum(math.lgamma(1 + int(n)) for n in pooled))
     return score
+
+
+# ---------------------------------------------------------------------------
+# Four urns, one sample and one EM call at a time
+# ---------------------------------------------------------------------------
+
+
+def oracle_four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrnsRun:
+    """The streaming four-urns run: scalar draws, tallies updated in place,
+    and one em_two_type call whenever the stream reaches a checkpoint."""
+    run_seed = derive_seed(spec.base_seed, run_index)
+    truth = build_urn_truth(spec.urn_config, _truth_seed(spec, run_seed))
+    rng = RngState(derive_seed(run_seed, 2))
+    n_urns = truth.n_urns
+    counts = np.zeros((n_urns, truth.n_colors))
+    urn1_samples: list[int] = []
+    grid = _curve_checkpoints(spec) or ((0,) if spec.n_samples == 0 else ())
+    truths = [truth.urn_dist(i) for i in range(n_urns)]
+    raw_rows: list[list[float]] = []
+    ours_rows: list[list[float]] = []
+    hard_rows: list[list[float]] = []
+
+    def evaluate(checkpoint_index: int) -> None:
+        tallies = [TallyVector(counts[i]) for i in range(n_urns)]
+        raw_est = raw_tally_estimate(tallies, spec.estimator)
+        em = em_two_type(tallies, spec.estimator, derive_seed(run_seed, 1000 + checkpoint_index))
+        ours_est = per_unit_mixture(em)
+        raw_rows.append([kl_divergence(truths[i], raw_est[i]) for i in range(n_urns)])
+        ours_rows.append([kl_divergence(truths[i], ours_est[i]) for i in range(n_urns)])
+        if spec.emit_hard_readout:
+            hard_est = per_unit_mixture(em, hard=True)
+            hard_rows.append([kl_divergence(truths[i], hard_est[i]) for i in range(n_urns)])
+
+    cp_iter = iter(enumerate(grid))
+    next_cp = next(cp_iter, None)
+    if spec.n_samples == 0 and grid == (0,):
+        evaluate(0)
+        next_cp = None
+    for t in range(1, spec.n_samples + 1):
+        sample, rng = draw_urn_sample(truth, rng)
+        counts[sample.urn_id, sample.color] += 1.0
+        if sample.urn_id == 0:
+            urn1_samples.append(t)
+        while next_cp is not None and next_cp[1] == t:
+            evaluate(next_cp[0])
+            next_cp = next(cp_iter, None)
+
+    return FourUrnsRun(
+        truth=truth,
+        raw=_per_urn_curves("raw", grid, raw_rows),
+        ours=_per_urn_curves("ours", grid, ours_rows),
+        ours_hard=_per_urn_curves("ours_hard", grid, hard_rows) if spec.emit_hard_readout else None,
+        urn1_samples=tuple(urn1_samples),
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -35,6 +36,43 @@ class TestSample:
         again = tmp_path / "again.jsonl"
         assert main(["sample", "--model", str(model), "--n", "120", "--seed", "9", "--out", str(again)]) == 0
         assert again.read_bytes() == data.read_bytes()
+
+
+    # sha256 of `lsl sample` datasets of 3000 samples, pinned before the
+    # stream draws replaced the sample-at-a-time loop.
+    PINNED = {
+        "urns": (
+            None,
+            "7",
+            "21",
+            "ca44aa48562ed1d189a8b662cf1d6980f0b84a5864f84ea8c011d48e06f68fde",
+        ),
+        "bits": (
+            {"v": 12, "g": 4, "s": 3},
+            "11",
+            "22",
+            "c18d2d41d9ad4fcd78a234a5865dc8eb188132c65f92ae9b3d8e4552f88dfc32",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_pinned_dataset_digest(self, tmp_path, kind):
+        config, model_seed, sample_seed, digest = self.PINNED[kind]
+        model, data = tmp_path / "model.json", tmp_path / "data.jsonl"
+        argv = ["gen-model", "--kind", kind, "--seed", model_seed, "--out", str(model)]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 0
+        argv = ["sample", "--model", str(model), "--n", "3000", "--seed", sample_seed, "--out", str(data)]
+        assert main(argv) == 0
+        assert hashlib.sha256(data.read_bytes()).hexdigest() == digest
+
+    def test_negative_count_exits_2(self, bits_setup, tmp_path, capsys):
+        model, _ = bits_setup
+        out = tmp_path / "neg.jsonl"
+        assert main(["sample", "--model", str(model), "--n", "-1", "--seed", "1", "--out", str(out)]) == 2
+        assert "--n" in capsys.readouterr().err
 
 
 class TestEstimate:

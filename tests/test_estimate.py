@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from latent_structure_lab import estimate as estimate_module
 from latent_structure_lab.estimate import (
     EstimatorConfig,
     assignment_responsibilities,
     em_two_type,
+    em_two_type_many,
     group_tallies,
     grouped_known_estimate,
     independent_bits_estimate,
@@ -337,6 +339,64 @@ class TestEmMatchesOracle:
         init = np.asfortranarray(rng.random((6, 2)))
         assert_matches_oracle(tallies, CFG, 0, init=init)
         assert_matches_oracle(tallies, CFG, 0, init=rng.random((6, 4))[:, ::2])
+
+
+def assert_results_equal(got, want):
+    """Every EmResult field equal bit for bit."""
+    np.testing.assert_array_equal(bits(got.q_a.weights), bits(want.q_a.weights))
+    np.testing.assert_array_equal(bits(got.q_b.weights), bits(want.q_b.weights))
+    np.testing.assert_array_equal(bits(got.responsibilities), bits(want.responsibilities))
+    assert bits(got.log_likelihood) == bits(want.log_likelihood)
+    assert got.iterations == want.iterations
+    assert got.restarts_used == want.restarts_used
+    np.testing.assert_array_equal(bits(got.trace), bits(want.trace))
+    np.testing.assert_array_equal(bits(got.restart_objectives), bits(want.restart_objectives))
+
+
+class TestEmManyMatchesSingleCalls:
+    """em_two_type_many equals one em_two_type call per dataset, across batch boundaries."""
+
+    @pytest.mark.parametrize("max_iters", (1, 2, 500))
+    @pytest.mark.parametrize("restarts", (1, 3, 5, 7))
+    def test_datasets_crossing_batches(self, max_iters, restarts):
+        rng = np.random.default_rng(100 * max_iters + restarts)
+        n_sets = 3 * estimate_module._EM_BATCH_ROWS // restarts + 2
+        counts = rng.integers(0, 40, size=(n_sets, 4, 8)).astype(float)
+        counts[::4] *= rng.random(8)  # fractional tallies too
+        counts[1] = 0.0  # a dataset with no samples
+        seeds = [int(x) for x in rng.integers(0, 1 << 62, size=n_sets)]
+        cfg = EstimatorConfig(em_max_iters=max_iters, em_restarts=restarts)
+        results = list(em_two_type_many(counts, cfg, seeds))
+        assert len(results) == n_sets
+        for c, result in enumerate(results):
+            tallies = [TallyVector(row) for row in counts[c]]
+            assert_results_equal(result, em_two_type(tallies, cfg, seeds[c]))
+
+    def test_row_cap_does_not_change_results(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 60, size=(23, 5, 4)).astype(float)
+        seeds = list(range(23))
+        batched = list(em_two_type_many(counts, CFG, seeds))
+        monkeypatch.setattr(estimate_module, "_EM_BATCH_ROWS", 1)
+        for got, want in zip(batched, em_two_type_many(counts, CFG, seeds)):
+            assert_results_equal(got, want)
+
+    def test_no_datasets(self):
+        assert list(em_two_type_many(np.zeros((0, 4, 8)), CFG, [])) == []
+
+    @pytest.mark.parametrize(
+        "counts, seeds",
+        (
+            (np.ones((2, 4)), [0, 1]),
+            (np.ones((2, 0, 8)), [0, 1]),
+            (np.ones((2, 4, 8)), [0]),
+            (-np.ones((1, 4, 8)), [0]),
+            (np.full((1, 4, 8), np.nan), [0]),
+        ),
+    )
+    def test_rejects_bad_input_at_call(self, counts, seeds):
+        with pytest.raises(ValueError):
+            em_two_type_many(counts, CFG, seeds)
 
 
 class TestPerUnitMixture:

@@ -20,9 +20,12 @@ from latent_structure_lab.experiment import (
     _four_urns_single_run,
     _bitvectors_single_run,
 )
+from latent_structure_lab import estimate as estimate_module
+from latent_structure_lab.estimate import EstimatorConfig
 from latent_structure_lab.pipeline import run_experiment
 from latent_structure_lab.prob import kl_divergence, Categorical
 from latent_structure_lab.simulate import BitsConfig, UrnConfig, build_bitvector_truth
+from oracles import oracle_four_urns_single_run
 
 
 class TestKlCurve:
@@ -162,6 +165,55 @@ class TestFourUrns:
         values = np.asarray(res.avg_raw.values)
         upticks = (np.diff(values) > 0).sum()
         assert upticks <= math.ceil(0.02 * (len(values) - 1))
+
+
+def curve_bits(curve):
+    """A curve's samples and KL values, the values as int64 bit patterns."""
+    if curve is None:
+        return None
+    values = np.asarray(curve.values, dtype=np.float64).view(np.int64).tolist()
+    subs = None if curve.per_unit is None else [curve_bits(c) for c in curve.per_unit]
+    return curve.label, curve.samples, values, subs
+
+
+class TestFourUrnsMatchesStreamingOracle:
+    """Array draws plus batched EM equal the sample-at-a-time run bit for bit."""
+
+    CASES = {
+        "no_samples": dict(n_samples=0),
+        "hard_readout": dict(n_samples=300, emit_hard_readout=True),
+        "one_iteration": dict(n_samples=120, estimator=EstimatorConfig(em_max_iters=1)),
+        "two_iterations": dict(
+            n_samples=120, estimator=EstimatorConfig(em_max_iters=2, em_restarts=3)
+        ),
+        "sparse_grid": dict(n_samples=500, checkpoints=(1, 2, 7, 100, 333, 500)),
+        "fixed_truth": dict(n_samples=90, resample_truth=False, emit_hard_readout=True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_runs_equal_oracle(self, case):
+        spec = ExperimentSpec(kind="four_urns", n_runs=2, base_seed=404, **self.CASES[case])
+        for run_index in range(spec.n_runs):
+            got = _four_urns_single_run(spec, run_index)
+            want = oracle_four_urns_single_run(spec, run_index)
+            assert got.truth.assignment == want.truth.assignment
+            for name in ("raw", "ours", "ours_hard"):
+                assert curve_bits(getattr(got, name)) == curve_bits(getattr(want, name))
+            assert got.urn1_samples == want.urn1_samples
+
+    def test_grid_crosses_em_batches(self):
+        spec = ExperimentSpec(kind="four_urns", n_samples=400, n_runs=1, base_seed=8)
+        per_batch = estimate_module._EM_BATCH_ROWS // spec.estimator.em_restarts
+        assert len(default_checkpoints(400)) > 2 * per_batch
+        got = _four_urns_single_run(spec, 0)
+        want = oracle_four_urns_single_run(spec, 0)
+        assert curve_bits(got.ours) == curve_bits(want.ours)
+        assert curve_bits(got.raw) == curve_bits(want.raw)
+
+    def test_checkpoints_must_increase(self):
+        for cps in ((5, 3), (4, 4)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ExperimentSpec(kind="four_urns", n_samples=10, n_runs=1, base_seed=0, checkpoints=cps)
 
 
 class TestBitVectors:

@@ -236,6 +236,32 @@ class TestOneUnranker:
             unrank_candidate(cfg, 0)
         assert (20, 4, 5, True) not in search_module._ENUM_TABLES
 
+    def test_table_entry_guard_refuses_before_building(self, monkeypatch):
+        # The tally table passes here (15P5 x 32 = 11,531,520 cells), but the
+        # level-1 tables alone hold C(15,5) x (C(10,5) + 10P5) = 91,567,476 entries.
+        assert search_module._table_entries(15, 3, 5, True) == 92_294_202
+
+        def refuse_build(*args):
+            raise AssertionError("the tables were built past the guard")
+
+        monkeypatch.setattr(search_module, "_EnumTables", refuse_build)
+        cfg = SearchConfig(v=15, g=3, s=5, mode="case12")
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"limit {search_module._MAX_TABLE_ENTRIES}"):
+            unrank_candidate(cfg, 0)
+        assert time.perf_counter() - start < 1.0
+        assert (15, 3, 5, True) not in search_module._ENUM_TABLES
+
+    @pytest.mark.parametrize(
+        "geometry", ((6, 3, 2), (8, 4, 2), (9, 3, 3), (12, 4, 3), (12, 4, 2), (3, 1, 3))
+    )
+    @pytest.mark.parametrize("arrangements", (False, True))
+    def test_table_entries_count_what_is_built(self, geometry, arrangements):
+        tables = search_module._EnumTables(*geometry, arrangements)
+        built = sum(tab_id.size for tab_id, _ in tables.comb + tables.arr)
+        assert search_module._table_entries(*geometry, arrangements) == built
+        assert built <= search_module._MAX_TABLE_ENTRIES
+
     def test_pool_search_builds_tables_once_in_parent(self, monkeypatch):
         built = []
         unranked_after = []

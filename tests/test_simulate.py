@@ -18,11 +18,14 @@ from latent_structure_lab.simulate import (
     DatasetParseError,
     UrnConfig,
     UrnSample,
+    UrnTruth,
     build_bitvector_truth,
     build_urn_truth,
     dataset_digest,
     draw_bitvector,
+    draw_bitvectors,
     draw_urn_sample,
+    draw_urn_samples,
     fnv1a64,
     pattern_to_bitstring,
     read_bits_dataset,
@@ -213,6 +216,126 @@ class TestDrawBitVector:
             expected = n * truth.group_dist(j).weights
             stat = float(((counts[j] - expected) ** 2 / expected).sum())
             assert stat < CHI2_999_DF7
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+UNIT_MAX = 1.0 - 2.0**-53  # the largest unit draw: all 53 kept bits set
+# Float cumulative sum 1 - 2**-53: a UNIT_MAX draw passes every bin and takes
+# the clipped last index in both draw_index and the stream draws.
+SHORT8 = (0.3,) + (0.1,) * 7
+
+
+def _undo_xorshift(y: int, k: int) -> int:
+    x = y
+    for _ in range(64 // k + 1):
+        x = y ^ (x >> k)
+    return x
+
+
+def seed_with_unit_at(step: int, unit: float = UNIT_MAX) -> RngState:
+    """A state whose step-th unit draw (1-based) is `unit`, a multiple of
+    2**-53: splitmix64's output mix is a bijection, so it is undone for an
+    output whose top 53 bits encode the unit."""
+    z = _undo_xorshift(int(unit * 2**53) << 11, 31)
+    z = (z * pow(_MIX2, -1, 1 << 64)) & _MASK64
+    z = _undo_xorshift(z, 27)
+    z = (z * pow(_MIX1, -1, 1 << 64)) & _MASK64
+    z = _undo_xorshift(z, 30)
+    return RngState((z - step * _GOLDEN) & _MASK64)
+
+
+def scalar_urn_rows(truth, rng, n):
+    rows = []
+    for _ in range(n):
+        sample, rng = draw_urn_sample(truth, rng)
+        rows.append([sample.urn_id, sample.color])
+    return rows, rng
+
+
+def scalar_patterns(truth, rng, n):
+    out = []
+    for _ in range(n):
+        pattern, rng = draw_bitvector(truth, rng)
+        out.append(pattern)
+    return out, rng
+
+
+class TestStreamDraws:
+    """draw_urn_samples / draw_bitvectors equal n scalar draws, state included."""
+
+    @pytest.mark.parametrize("truth_seed", range(4))
+    @pytest.mark.parametrize("n", (0, 1, 5, 700))
+    def test_urn_samples_equal_scalar_draws(self, truth_seed, n):
+        truth = build_urn_truth(UrnConfig(), truth_seed)
+        rng = RngState(2**64 - 7 + truth_seed)
+        rows, after = draw_urn_samples(truth, rng, n)
+        want, want_after = scalar_urn_rows(truth, rng, n)
+        assert rows.shape == (n, 2)
+        assert rows.tolist() == want
+        assert after == want_after
+
+    @pytest.mark.parametrize(
+        "cfg",
+        (
+            BitsConfig(),
+            BitsConfig(v=9, g=3, s=3),
+            BitsConfig(v=6, g=3, s=2),
+            BitsConfig(v=63, g=21, s=3),
+            BitsConfig(v=64, g=16, s=4),
+        ),
+    )
+    @pytest.mark.parametrize("n", (0, 1, 400))
+    def test_bitvectors_equal_scalar_draws(self, cfg, n):
+        truth = build_bitvector_truth(cfg, 5)
+        rng = RngState(31 * n + cfg.v)
+        patterns, after = draw_bitvectors(truth, rng, n)
+        want, want_after = scalar_patterns(truth, rng, n)
+        assert patterns.shape == (n,)
+        assert patterns.tolist() == want
+        assert after == want_after
+
+    @pytest.mark.parametrize("unit", (UNIT_MAX, 0.5, 0.0))
+    def test_seed_with_unit_at(self, unit):
+        for step in (1, 2, 3):
+            rng = seed_with_unit_at(step, unit)
+            for _ in range(step):
+                u, rng = next_unit(rng)
+            assert u == unit
+        assert np.cumsum(SHORT8)[-1] <= UNIT_MAX
+
+    @pytest.mark.parametrize("step", (1, 2))
+    def test_unit_on_a_bin_edge_takes_the_next_bin(self, step):
+        # u == 0.5 == the first cumulative weight: `u < acc` fails there
+        half = Categorical(np.array([0.5, 0.5]))
+        truth = UrnTruth(type_dists=(half, half), assignment=("a", "a"), urn_weights=half)
+        rng = seed_with_unit_at(step, 0.5)
+        rows, after = draw_urn_samples(truth, rng, 10)
+        want, want_after = scalar_urn_rows(truth, rng, 10)
+        assert want[0][step - 1] == 1
+        assert rows.tolist() == want and after == want_after
+
+    @pytest.mark.parametrize("step", (1, 2))
+    def test_urn_clip_branch(self, step):
+        # step 1 is the first urn draw, step 2 the first color draw
+        short = Categorical(np.array(SHORT8))
+        truth = UrnTruth(type_dists=(short, short), assignment=("a",) * 8, urn_weights=short)
+        rng = seed_with_unit_at(step)
+        rows, after = draw_urn_samples(truth, rng, 40)
+        want, want_after = scalar_urn_rows(truth, rng, 40)
+        assert want[0][step - 1] == 7
+        assert rows.tolist() == want and after == want_after
+
+    def test_bitvector_clip_branch(self):
+        short = Categorical(np.array(SHORT8))
+        truth = BitVectorTruth(Grouping(((4, 0, 2), (1, 5, 3))), (short, short), ("a", "b"))
+        rng = seed_with_unit_at(2)  # the second group's first draw
+        patterns, after = draw_bitvectors(truth, rng, 40)
+        want, want_after = scalar_patterns(truth, rng, 40)
+        assert [(want[0] >> (5 - var)) & 1 for var in (1, 5, 3)] == [1, 1, 1]
+        assert patterns.tolist() == want and after == want_after
 
 
 class TestTrueJoint:
