@@ -24,6 +24,7 @@ from .experiment import (
     KlCurve,
     SearchSettings,
     average_curves,
+    config_from_jsonable,
     default_checkpoints,
     independent_bits_floor,
     run_bitvectors,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimate import grouped_known_estimate, independent_bits_estimate, joint_dirichlet_estimate
-from .experiment import ExpensiveSearchError, spec_from_jsonable
+from .experiment import BIT_CASES, ExpensiveSearchError, config_from_jsonable, spec_from_jsonable
 from .pipeline import run_experiment
 from .prob import (
     CapacityError,
@@ -58,7 +58,6 @@ from .simulate import (
 )
 
 URN_CASES = ("raw", "ours")
-BIT_CASES = ("c0", "c0p", "c13", "c123", "c1", "c12")
 
 
 class UsageError(ValueError):
@@ -69,16 +68,13 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_json(path: str, what: str) -> dict:
+def _load_json(path: str, what: str):
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise UsageError(f"{what} file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} file {path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise UsageError(f"{what} file {path}: expected a JSON object")
-    return payload
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -91,13 +87,11 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _cmd_gen_model(args: argparse.Namespace) -> int:
     config_payload = _load_json(args.config, "config") if args.config else {}
-    from .experiment import _build_config  # same key handling as spec files
-
     if args.kind == "urns":
-        truth = build_urn_truth(_build_config(UrnConfig, config_payload, "config"), args.seed)
+        truth = build_urn_truth(config_from_jsonable(UrnConfig, config_payload, "config"), args.seed)
     else:
         truth = build_bitvector_truth(
-            _build_config(BitsConfig, config_payload, "config"), args.seed
+            config_from_jsonable(BitsConfig, config_payload, "config"), args.seed
         )
     write_model(args.out, truth)
     _info(f"wrote {args.kind} model to {args.out}")

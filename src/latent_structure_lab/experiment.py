@@ -11,6 +11,9 @@ independently and curves are byte-stable across invocations.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import typing
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -54,6 +57,8 @@ BIT_CASES = ("c0", "c0p", "c13", "c123", "c1", "c12")
 # 3.11, numpy 2.4) scored its 106,444,800 candidates in 19.2 worker
 # CPU-seconds, 5.5M per worker CPU-second, with the per-prefix scorer.
 CASE12_SCORINGS_PER_WORKER_S = 5.5e6
+# check_search_cost refuses a case12 search space larger than this.
+CASE12_EXPENSIVE_CANDIDATES = 1_000_000
 
 
 class ExpensiveSearchError(RuntimeError):
@@ -93,7 +98,6 @@ class SearchSettings:
     checkpoints: tuple[int, ...] | None = None  # default: every curve checkpoint
     workers: int = 1
     scorer: str = "paper_plugin"
-    expensive_threshold: int = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,9 @@ class ExperimentSpec:
                 raise ValueError(f"checkpoint {cp} outside [1, {self.n_samples}]")
         if any(b <= a for a, b in zip(cps, cps[1:])):
             raise ValueError("checkpoints must be strictly increasing")
+        searched = self.search.checkpoints
+        if searched is not None and not (searched and set(searched) <= set(_curve_checkpoints(self))):
+            raise ValueError(f"search.checkpoints {list(searched)}: must be one or more curve checkpoints")
 
 
 def default_checkpoints(n_samples: int) -> tuple[int, ...]:
@@ -311,7 +318,7 @@ def check_search_cost(spec: ExperimentSpec, allow_expensive: bool) -> None:
         return
     cfg = _search_config(spec, "case12")
     count = candidate_count(cfg)
-    if count <= spec.search.expensive_threshold or allow_expensive:
+    if count <= CASE12_EXPENSIVE_CANDIDATES or allow_expensive:
         return
     n_cp = len(spec.search.checkpoints or _curve_checkpoints(spec))
     total = count * n_cp * spec.n_runs
@@ -417,129 +424,85 @@ def run_bitvectors(spec: ExperimentSpec, allow_expensive: bool = False) -> BitVe
 # ---------------------------------------------------------------------------
 
 
-def _build_config(cls, payload: dict, context: str):
-    import dataclasses
+# The ExperimentSpec field that a spec's "truth" object fills, per kind.
+_TRUTH_FIELDS = {"four_urns": "urn_config", "bit_vectors": "bits_config"}
+# JSON key -> ExperimentSpec field, apart from "truth".
+_SPEC_KEYS = {
+    f.name: f.name for f in dataclasses.fields(ExperimentSpec) if f.name not in _TRUTH_FIELDS.values()
+}
 
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - known
+
+def _spec_error(context: str, message: str) -> ValueError:
+    return ValueError(f"spec field '{context}': {message}" if context else f"spec: {message}")
+
+
+def _read_value(tp, value, context: str):
+    """Check one JSON value against a field annotation; lists become tuples."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # `X | None`
+        return None if value is None else _read_value(args[0], value, context)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise _spec_error(context, f"expected a list, got {json.dumps(value)}")
+        args = (args[0],) * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(args):
+            raise _spec_error(context, f"expected {len(args)} items, got {len(value)}")
+        return tuple(_read_value(a, v, f"{context}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if dataclasses.is_dataclass(tp):
+        return config_from_jsonable(tp, value, context)
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
+        raise _spec_error(context, f"expected {tp.__name__}, got {json.dumps(value)}")
+    return value
+
+
+def config_from_jsonable(cls, payload, context: str, keys: dict[str, str] | None = None):
+    """Build config dataclass `cls` from its JSON object (`keys`: JSON key ->
+    field name, by default the field names), checking each value against its
+    field's annotation. Grouping variables are 1-based. Errors name the field."""
+    if not isinstance(payload, dict):
+        raise _spec_error(context, f"expected a JSON object, got {json.dumps(payload)}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    keys = keys or {name: name for name in fields}
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(payload) - set(keys))
     if unknown:
-        raise ValueError(f"spec field '{context}': unknown keys {sorted(unknown)}")
-    kwargs = dict(payload)
-    for key in ("urn_weights", "assignment", "checkpoints"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
-    if kwargs.get("type_dists") is not None:
-        kwargs["type_dists"] = tuple(tuple(d) for d in kwargs["type_dists"])
+        raise _spec_error(f"{context}.{unknown[0]}".lstrip("."), "unknown")
+    kwargs = {}
+    for key, name in keys.items():
+        where, f = f"{context}.{key}".lstrip("."), fields[name]
+        if key in payload:
+            kwargs[name] = _read_value(hints[name], payload[key], where)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise _spec_error(where, "required")
     if kwargs.get("grouping") is not None:
         kwargs["grouping"] = tuple(tuple(var - 1 for var in grp) for grp in kwargs["grouping"])
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"spec field '{context}': {exc}") from exc
+    except ValueError as exc:
+        raise _spec_error(context, str(exc)) from exc
 
 
 def spec_from_jsonable(payload: dict) -> ExperimentSpec:
-    """Build an ExperimentSpec from its JSON form (variables 1-based in files)."""
+    """Build an ExperimentSpec from its JSON form; "truth" holds the kind's truth config."""
     if not isinstance(payload, dict):
         raise ValueError("spec file must hold a JSON object")
     kind = payload.get("kind")
-    if kind not in ("four_urns", "bit_vectors"):
+    if kind not in _TRUTH_FIELDS:
         raise ValueError(f"spec field 'kind': must be four_urns or bit_vectors, got {kind!r}")
-    for req in ("n_samples", "n_runs", "base_seed"):
-        if req not in payload:
-            raise ValueError(f"spec field '{req}': required")
-    top_known = {
-        "kind",
-        "n_samples",
-        "n_runs",
-        "base_seed",
-        "cases",
-        "checkpoints",
-        "resample_truth",
-        "truth",
-        "estimator",
-        "search",
-        "emit_hard_readout",
-    }
-    unknown = set(payload) - top_known
-    if unknown:
-        raise ValueError(f"spec field {sorted(unknown)[0]!r}: unknown")
-    truth_payload = payload.get("truth", {})
-    kwargs = dict(
-        kind=kind,
-        n_samples=int(payload["n_samples"]),
-        n_runs=int(payload["n_runs"]),
-        base_seed=int(payload["base_seed"]),
-        resample_truth=bool(payload.get("resample_truth", True)),
-        emit_hard_readout=bool(payload.get("emit_hard_readout", False)),
-        estimator=_build_config(EstimatorConfig, payload.get("estimator", {}), "estimator"),
-        search=_build_config(SearchSettings, payload.get("search", {}), "search"),
-    )
-    if payload.get("cases") is not None:
-        kwargs["cases"] = tuple(payload["cases"])
-    if payload.get("checkpoints") is not None:
-        kwargs["checkpoints"] = tuple(int(c) for c in payload["checkpoints"])
-    if kind == "four_urns":
-        kwargs["urn_config"] = _build_config(UrnConfig, truth_payload, "truth")
-    else:
-        kwargs["bits_config"] = _build_config(BitsConfig, truth_payload, "truth")
-    try:
-        return ExperimentSpec(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"spec: {exc}") from exc
+    keys = {**_SPEC_KEYS, "truth": _TRUTH_FIELDS[kind]}
+    return config_from_jsonable(ExperimentSpec, payload, "", keys)
+
+
+def _to_jsonable(value, name: str = ""):
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_jsonable(getattr(value, f.name), f.name) for f in dataclasses.fields(value)}
+    if name == "grouping" and value is not None:
+        return [[var + 1 for var in grp] for grp in value]
+    return [_to_jsonable(item) for item in value] if isinstance(value, tuple) else value
 
 
 def spec_to_jsonable(spec: ExperimentSpec) -> dict:
-    truth: dict
-    if spec.kind == "four_urns":
-        uc = spec.urn_config
-        truth = {
-            "n_urns": uc.n_urns,
-            "n_colors": uc.n_colors,
-            "urn_weights": list(uc.urn_weights),
-            "assignment": list(uc.assignment),
-            "type_dists": [list(d) for d in uc.type_dists] if uc.type_dists else None,
-            "min_separation": uc.min_separation,
-            "max_retries": uc.max_retries,
-        }
-    else:
-        bc = spec.bits_config
-        truth = {
-            "v": bc.v,
-            "g": bc.g,
-            "s": bc.s,
-            "assignment": list(bc.assignment) if bc.assignment else None,
-            "type_dists": [list(d) for d in bc.type_dists] if bc.type_dists else None,
-            "grouping": (
-                [[var + 1 for var in grp] for grp in bc.grouping] if bc.grouping else None
-            ),
-            "min_separation": bc.min_separation,
-            "max_retries": bc.max_retries,
-        }
-    est = spec.estimator
-    return {
-        "kind": spec.kind,
-        "n_samples": spec.n_samples,
-        "n_runs": spec.n_runs,
-        "base_seed": spec.base_seed,
-        "cases": list(spec.cases),
-        "checkpoints": list(spec.checkpoints) if spec.checkpoints is not None else None,
-        "resample_truth": spec.resample_truth,
-        "emit_hard_readout": spec.emit_hard_readout,
-        "truth": truth,
-        "estimator": {
-            "pseudocount": est.pseudocount,
-            "em_tol": est.em_tol,
-            "em_max_iters": est.em_max_iters,
-            "em_restarts": est.em_restarts,
-            "em_init_noise": est.em_init_noise,
-        },
-        "search": {
-            "checkpoints": (
-                list(spec.search.checkpoints) if spec.search.checkpoints is not None else None
-            ),
-            "workers": spec.search.workers,
-            "scorer": spec.search.scorer,
-            "expensive_threshold": spec.search.expensive_threshold,
-        },
-    }
+    """The JSON form that spec_from_jsonable reads back to an equal spec."""
+    keys = {**_SPEC_KEYS, "truth": _TRUTH_FIELDS[spec.kind]}
+    return {key: _to_jsonable(getattr(spec, name), name) for key, name in keys.items()}

@@ -1,13 +1,20 @@
 """Exhaustive, symmetry-reduced search over grouping/assignment hypotheses.
 
 The raw hypothesis space pairs every ordered grouping of the V variables
-(into G ordered S-slot groups) with every group-to-type assignment. Two
-redundancies are quotiented away, exactly matching the reduced count
-T**G * V! / (T! * (S!)**T):
+(into G ordered S-slot groups) with every group-to-type assignment. The
+case12 count T**G * V! / (T! * (S!)**T) quotients two redundancies:
 
 - type labels are interchangeable, and
 - reordering the slots of every group of one type simultaneously relabels
   that type's outcomes without changing the hypothesis.
+
+The space still differs from the set of distinct hypotheses. The scorers
+ignore group order, so a top-k can list group-order relabelings of one
+hypothesis. With two types, a single-type hypothesis is enumerated only
+when two of its groups list their variables in the same relative order
+(the single-label pin below). A brute-force orbit count at V=6, G=2, S=3
+finds 40 candidates covering 20 of 70 distinct hypotheses, missing 50 of
+the 60 single-type ones; at V=6, G=3, S=2 the 720 candidates cover all 150.
 
 Canonical form (the enumeration space) anchors both positionally so that
 every assignment pattern owns the same number of permutations, which gives

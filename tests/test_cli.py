@@ -29,6 +29,24 @@ class TestGenModel:
         rc = main(["gen-model", "--kind", "urns", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "m.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "kind, config, field",
+        [
+            ("bits", {"v": 6.0}, "'config.v'"),
+            ("bits", {"grouping": [[1, 2, 3], [4, 5, "6"]]}, "'config.grouping[1][2]'"),
+            ("urns", {"urn_weights": [0.5, True]}, "'config.urn_weights[1]'"),
+            ("urns", {"assignment": "abab"}, "'config.assignment'"),
+        ],
+        ids=["float_int", "string_in_grouping", "bool_float", "string_tuple"],
+    )
+    def test_ill_typed_config_exits_2(self, tmp_path, capsys, kind, config, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["gen-model", "--kind", kind, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestSample:
     def test_deterministic_dataset(self, bits_setup, tmp_path):
@@ -202,6 +220,34 @@ class TestExperimentCommand:
         svg = tmp_path / "replot.svg"
         assert main(["plot", "--csv", str(out_dir / "curves.csv"), "--out", str(svg), "--log-y"]) == 0
         assert svg.read_text().startswith("<svg ")
+
+    URNS = {"kind": "four_urns", "n_samples": 20, "n_runs": 1, "base_seed": 1}
+    BITS = {
+        "kind": "bit_vectors", "n_samples": 200, "n_runs": 1, "base_seed": 1,
+        "cases": ["c1"], "truth": {"v": 6, "g": 2, "s": 3},
+    }
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({**URNS, "estimator": {"em_restarts": 2.5}}, "'estimator.em_restarts'"),
+            ({**URNS, "search": {"workers": 2.0}}, "'search.workers'"),
+            ({**URNS, "n_samples": 20.7}, "'n_samples'"),
+            ({**URNS, "resample_truth": "false"}, "'resample_truth'"),
+            ({**URNS, "search": {"expensive_threshold": 5}}, "'search.expensive_threshold'"),
+            ({**BITS, "search": {"checkpoints": [105, 155]}}, "search.checkpoints [105, 155]"),
+            ({**BITS, "search": {"checkpoints": [0, -4, 999]}}, "search.checkpoints [0, -4, 999]"),
+            ({**BITS, "search": {"checkpoints": []}}, "search.checkpoints []"),
+        ],
+        ids=["float_int", "float_workers", "float_samples", "string_bool", "removed_threshold",
+             "off_grid_checkpoints", "out_of_range_checkpoints", "empty_checkpoints"],
+    )
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, spec, named):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["experiment", "--spec", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_spec_exits_2(self, tmp_path):
         assert main(["experiment", "--spec", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]) == 2

@@ -1,5 +1,8 @@
 import hashlib
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,6 +393,135 @@ class TestSpecJson:
     def test_missing_required_field(self):
         with pytest.raises(ValueError, match="base_seed"):
             spec_from_jsonable({"kind": "four_urns", "n_samples": 1, "n_runs": 1})
+
+
+def _workload_spec(workload: str, base_seed: int) -> dict:
+    """The experiment workload specs of benchmarks/workloads.py, inlined."""
+    if workload == "urns_em":
+        return {"kind": "four_urns", "n_samples": 1000, "n_runs": 24, "base_seed": base_seed}
+    base = {"n_runs": 1, "base_seed": base_seed}
+    if workload == "bits_ladder_v12":
+        return {
+            "kind": "bit_vectors",
+            "n_samples": 500,
+            **base,
+            "cases": ["c0", "c0p", "c13", "c123", "c1"],
+            "truth": {"v": 12, "g": 4, "s": 3},
+            "search": {"checkpoints": [100, 500], "workers": 1, "scorer": "dirichlet_marginal"},
+        }
+    return {
+        "kind": "bit_vectors",
+        "n_samples": 300,
+        **base,
+        "cases": ["c123", "c12"],
+        "checkpoints": list(range(10, 301, 10)),
+        "truth": {"v": 9, "g": 3, "s": 3, "min_separation": 0.6},
+        "search": {"workers": 2, "scorer": "dirichlet_marginal"},
+    }
+
+
+class TestSpecCodec:
+    """spec_to_jsonable output, pinned before the codec was derived from the
+    config dataclasses: sha256 of its sort_keys JSON, with the since-removed
+    search.expensive_threshold key dropped."""
+
+    PINNED = {
+        "urns_em/1": (
+            _workload_spec("urns_em", 191193218290803),
+            "e7e8263f48e0a14106e9fb7328bd3a0d529e9674634ecc440642dfaf76583098",
+        ),
+        "urns_em/2": (
+            _workload_spec("urns_em", 17720988402034),
+            "ddac9ae4cc2969289d191a60659543ca6ba7af440862147193b1446230744f91",
+        ),
+        "bits_ladder_v12/1": (
+            _workload_spec("bits_ladder_v12", 241293674805990),
+            "b2c1ceb5c905c5759cc28e31d705de0d137d0fc26e204ace0705b8c65556cd83",
+        ),
+        "bits_ladder_v12/2": (
+            _workload_spec("bits_ladder_v12", 175060379144434),
+            "1555c067be2017d63db47cfa2eaa139e194bcfa2c2007cd7a267f00efdaabe14",
+        ),
+        "c12_many_small/1": (
+            _workload_spec("c12_many_small", 105167848496722),
+            "73c1e4941a26a21945cc2eda08e8c031cf8f28894c21850b88dd8fa613808fa8",
+        ),
+        "c12_many_small/2": (
+            _workload_spec("c12_many_small", 130639831491257),
+            "35740bfb5ce96b688d03af1ac9fbd61da894527d3db33ced8f43cc7fd271f121",
+        ),
+        # Every field set; pseudocount is an integer in a float field.
+        "four_urns_full": (
+            {
+                "kind": "four_urns",
+                "n_samples": 300,
+                "n_runs": 3,
+                "base_seed": 99,
+                "cases": ["c0", "c13"],
+                "checkpoints": [10, 100, 300],
+                "resample_truth": False,
+                "emit_hard_readout": True,
+                "truth": {
+                    "n_urns": 3,
+                    "n_colors": 4,
+                    "urn_weights": [0.2, 0.3, 0.5],
+                    "assignment": ["a", "b", "b"],
+                    "type_dists": [[0.1, 0.2, 0.3, 0.4], [0.5, 0.25, 0.125, 0.125]],
+                    "min_separation": 0.1,
+                    "max_retries": 50,
+                },
+                "estimator": {
+                    "pseudocount": 2,
+                    "em_tol": 1e-6,
+                    "em_max_iters": 200,
+                    "em_restarts": 3,
+                    "em_init_noise": 0.1,
+                },
+                "search": {"checkpoints": [100, 300], "workers": 2, "scorer": "dirichlet_marginal"},
+            },
+            "bd480aaf2ae5d15cef317bd0401b5a8f4b1bacb5d2cdb98920428b582702471b",
+        ),
+        # A 1-based grouping, written back 1-based.
+        "bits_grouping": (
+            {
+                "kind": "bit_vectors",
+                "n_samples": 50,
+                "n_runs": 1,
+                "base_seed": 3,
+                "cases": ["c13", "c1"],
+                "checkpoints": [10, 50],
+                "truth": {
+                    "v": 6,
+                    "g": 2,
+                    "s": 3,
+                    "assignment": ["a", "b"],
+                    "type_dists": [[0.125] * 8, [0.5] + [0.0625] * 6 + [0.1875]],
+                    "grouping": [[6, 2, 1], [3, 5, 4]],
+                    "min_separation": 0.2,
+                    "max_retries": 10,
+                },
+            },
+            "f1447b68e8709393ac4e49b0dd1bd1a7e0eeef466d61ec91014e714b1d795517",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_json(self, name):
+        payload, digest = self.PINNED[name]
+        spec = spec_from_jsonable(payload)
+        text = json.dumps(spec_to_jsonable(spec), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert spec_from_jsonable(json.loads(text)) == spec
+
+    def test_grouping_is_zero_based_in_memory(self):
+        spec = spec_from_jsonable(self.PINNED["bits_grouping"][0])
+        assert spec.bits_config.grouping == ((5, 1, 0), (2, 4, 3))
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"An experiment spec is JSON.*?```json\n(.*?)```", readme, re.S)
+        spec = spec_from_jsonable(json.loads(example.group(1)))
+        assert spec.kind == "bit_vectors" and spec.search.scorer == "dirichlet_marginal"
 
 
 class TestGoldenCurveDigests:
