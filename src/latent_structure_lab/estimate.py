@@ -16,6 +16,11 @@ side by side; em_two_type_many runs the restarts of many datasets (the
 checkpoints of a four-urns run) in the same loop, in batches of at most
 _EM_BATCH_ROWS rows. Inputs are validated once, at entry; only each
 dataset's winning restart is wrapped in Categoricals.
+
+Per-unit estimates are read out on arrays: mixture_rows mixes (..., K)
+type distributions by (..., N, 2) responsibilities, so a four-urns run
+forms every checkpoint's estimates at once, and per_unit_mixture is its
+one-result case. The raw estimate is prob.dirichlet_mean_rows.
 """
 
 from __future__ import annotations
@@ -271,15 +276,19 @@ def per_unit_mixture(result: EmResult, hard: bool = False) -> list[Categorical]:
     Default is the responsibility-weighted mixture of the two type
     distributions; hard=True snaps each unit to its most likely type.
     """
-    out = []
-    for row in result.responsibilities:
-        if hard:
-            out.append(result.q_a if row[0] >= row[1] else result.q_b)
-        else:
-            out.append(
-                Categorical(row[0] * result.q_a.weights + row[1] * result.q_b.weights)
-            )
-    return out
+    rows = mixture_rows(result.responsibilities, result.q_a.weights, result.q_b.weights, hard)
+    return [Categorical(row) for row in rows]
+
+
+def mixture_rows(
+    resp: np.ndarray, q_a: np.ndarray, q_b: np.ndarray, hard: bool = False
+) -> np.ndarray:
+    """per_unit_mixture on arrays: (..., N, K) estimates from (..., N, 2)
+    responsibilities and (..., K) type distributions."""
+    q_a, q_b = q_a[..., None, :], q_b[..., None, :]
+    if hard:
+        return np.where(resp[..., :1] >= resp[..., 1:], q_a, q_b)
+    return resp[..., :1] * q_a + resp[..., 1:] * q_b
 
 
 def independent_bits_estimate(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import typing
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -26,14 +27,15 @@ from .estimate import (
     grouped_known_estimate,
     independent_bits_estimate,
     joint_dirichlet_estimate,
-    per_unit_mixture,
-    raw_tally_estimate,
+    mixture_rows,
 )
 from .prob import (
     Categorical,
+    dirichlet_mean_rows,
     joint_from_grouping,
     joint_from_independent_bits,
     kl_divergence,
+    kl_divergence_rows,
 )
 from .rng import RngState, derive_seed
 from .search import Candidate, SearchConfig, candidate_count, estimate_from_candidate, search
@@ -93,7 +95,13 @@ class KlCurve:
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """How the search-based cases (c1, c12) are run inside an experiment."""
+    """How the search-based cases (c1, c12) are run inside an experiment.
+
+    The cases search at `checkpoints` (default: every curve checkpoint).
+    When the list leaves out the first curve checkpoint, they search there
+    too, having no structure yet, and that one-sample structure then serves
+    every checkpoint before the first listed one.
+    """
 
     checkpoints: tuple[int, ...] | None = None  # default: every curve checkpoint
     workers: int = 1
@@ -121,7 +129,15 @@ class ExperimentSpec:
         if self.n_runs < 1 or self.n_samples < 0:
             raise ValueError("n_runs must be >= 1 and n_samples >= 0")
         object.__setattr__(self, "cases", tuple(self.cases))
+        for name in ("resample_truth", "emit_hard_readout"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))
         if self.checkpoints is not None:
+            for cp in self.checkpoints:
+                if isinstance(cp, bool) or not isinstance(cp, numbers.Integral):
+                    raise ValueError(f"checkpoints must be integers, got {cp!r}")
             object.__setattr__(self, "checkpoints", tuple(int(c) for c in self.checkpoints))
         bad = [c for c in self.cases if c not in BIT_CASES]
         if bad:
@@ -241,27 +257,26 @@ def _four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrnsRun:
     grid = _curve_checkpoints(spec) or ((0,) if spec.n_samples == 0 else ())
     truths = [truth.urn_dist(i) for i in range(n_urns)]
     counts = _checkpoint_counts(samples, grid, n_urns, truth.n_colors)
-    ems = em_two_type_many(
-        counts, spec.estimator, [derive_seed(run_seed, 1000 + c) for c in range(len(grid))]
-    )
+    resp = np.empty((len(grid), n_urns, 2))
+    q_a, q_b = np.empty((2, len(grid), truth.n_colors))
+    seeds = [derive_seed(run_seed, 1000 + c) for c in range(len(grid))]
+    for c, em in enumerate(em_two_type_many(counts, spec.estimator, seeds)):
+        resp[c], q_a[c], q_b[c] = em.responsibilities, em.q_a.weights, em.q_b.weights
 
-    raw_rows: list[list[float]] = []
-    ours_rows: list[list[float]] = []
-    hard_rows: list[list[float]] = []
-    for cp_counts, em in zip(counts, ems):
-        raw_est = raw_tally_estimate([TallyVector(row) for row in cp_counts], spec.estimator)
-        ours_est = per_unit_mixture(em)
-        raw_rows.append([kl_divergence(truths[i], raw_est[i]) for i in range(n_urns)])
-        ours_rows.append([kl_divergence(truths[i], ours_est[i]) for i in range(n_urns)])
-        if spec.emit_hard_readout:
-            hard_est = per_unit_mixture(em, hard=True)
-            hard_rows.append([kl_divergence(truths[i], hard_est[i]) for i in range(n_urns)])
+    def curve(label: str, estimates: np.ndarray) -> KlCurve:
+        """Per-urn KL curves from (checkpoints, urns, colors) estimates."""
+        kls = [kl_divergence_rows(truths[i], estimates[:, i]) for i in range(n_urns)]
+        return _per_urn_curves(label, grid, np.stack(kls, axis=1).tolist())
 
     return FourUrnsRun(
         truth=truth,
-        raw=_per_urn_curves("raw", grid, raw_rows),
-        ours=_per_urn_curves("ours", grid, ours_rows),
-        ours_hard=_per_urn_curves("ours_hard", grid, hard_rows) if spec.emit_hard_readout else None,
+        raw=curve("raw", dirichlet_mean_rows(counts, spec.estimator.pseudocount)),
+        ours=curve("ours", mixture_rows(resp, q_a, q_b)),
+        ours_hard=(
+            curve("ours_hard", mixture_rows(resp, q_a, q_b, hard=True))
+            if spec.emit_hard_readout
+            else None
+        ),
         urn1_samples=tuple((np.flatnonzero(samples[:, 0] == 0) + 1).tolist()),
     )
 

@@ -34,6 +34,19 @@ def _read_only(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _check_weights(w: np.ndarray) -> None:
+    """Raise Categorical's ValueError for the first row of (..., K) weights
+    that has a negative entry or a sum not within WEIGHT_SUM_TOL of 1."""
+    totals = w.sum(axis=-1)
+    if not (w < 0.0).any() and (abs(totals - 1.0) <= WEIGHT_SUM_TOL).all():
+        return
+    for row, total in zip(w.reshape(-1, w.shape[-1]), totals.reshape(-1).tolist()):
+        if (row < 0.0).any():
+            raise ValueError("weights must be nonnegative")
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+            raise ValueError(f"weights must sum to 1 (got {total!r})")
+
+
 @dataclass(frozen=True, eq=False)
 class Categorical:
     """Probability vector over K discrete outcomes."""
@@ -44,11 +57,7 @@ class Categorical:
         w = _read_only(self.weights)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a non-empty 1-d vector")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
-        total = float(w.sum())
-        if not math.isfinite(total) or abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1 (got {total!r})")
+        _check_weights(w)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -157,23 +166,53 @@ def kl_divergence(p: Categorical, q: Categorical) -> float:
 
     Unsupported mass (p_j > 0 where q_j = 0) yields +inf, which is a value
     and not an error: unsmoothed empirical estimates may legitimately be
-    compared early in a run.
+    compared early in a run. The one-row case of kl_divergence_rows.
     """
     if p.k != q.k:
         raise ValueError(f"dimension mismatch: {p.k} vs {q.k}")
-    mask = p.weights > 0.0
-    pw = p.weights[mask]
-    qw = q.weights[mask]
-    if np.any(qw == 0.0):
-        return math.inf
-    return float(np.dot(pw, np.log(pw) - np.log(qw)))
+    return float(_kl_rows(p.weights, q.weights[None])[0])
+
+
+def kl_divergence_rows(p: Categorical, q) -> np.ndarray:
+    """KL(p || row) for every row of a (..., K) array of probability vectors.
+
+    Each row is checked as Categorical checks its weights, raising the same
+    ValueError. Returns an array of shape q.shape[:-1].
+    """
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim == 0 or q.shape[-1] != p.k:
+        raise ValueError(f"q must have shape (..., {p.k}), got {q.shape}")
+    _check_weights(q)
+    return _kl_rows(p.weights, q)
+
+
+def _kl_rows(pw: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL from weights pw to each row of q (..., K) over pw's support.
+
+    Each row takes one np.dot of contiguous vectors, so it rounds as a lone
+    vector pair would (a matrix-vector product rounds differently). A zero
+    of q on the support gives log(0) = -inf and so a dot of +inf.
+    """
+    mask = pw > 0.0
+    qw = q.reshape(-1, q.shape[-1])
+    if not mask.all():
+        pw, qw = pw[mask], qw[:, mask]
+    with np.errstate(divide="ignore"):
+        diff = np.log(pw) - np.log(np.ascontiguousarray(qw))
+    return np.array([np.dot(pw, row) for row in diff]).reshape(q.shape[:-1])
 
 
 def dirichlet_mean(t: TallyVector, pseudocount: float = 1.0) -> Categorical:
     """Posterior mean under a symmetric Dirichlet prior with the given pseudocount."""
+    return Categorical(dirichlet_mean_rows(t.counts, pseudocount))
+
+
+def dirichlet_mean_rows(counts: np.ndarray, pseudocount: float = 1.0) -> np.ndarray:
+    """dirichlet_mean of each row of (..., K) counts, as a (..., K) array."""
     if not pseudocount > 0.0:
         raise ValueError("pseudocount must be positive")
-    return Categorical((t.counts + pseudocount) / (t.total + t.k * pseudocount))
+    k = counts.shape[-1]
+    return (counts + pseudocount) / (counts.sum(axis=-1, keepdims=True) + k * pseudocount)
 
 
 def _check_joint_capacity(v: int) -> None:

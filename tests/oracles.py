@@ -5,7 +5,9 @@ vectorized `_EnumTables` walk and `_ScoreContext`. The functions here do
 the same one candidate at a time with plain loops over pools of variables,
 so tests can check the fast paths against an independent implementation.
 `oracle_four_urns_single_run` likewise draws a four-urns run one sample at
-a time and fits each checkpoint with its own em_two_type call.
+a time, fits each checkpoint with its own em_two_type call and reads it
+out through the scalar `oracle_dirichlet_mean`, `oracle_per_unit_mixture`
+and `oracle_kl_divergence`, one Categorical per urn.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from latent_structure_lab.estimate import em_two_type, per_unit_mixture, raw_tally_estimate
+from latent_structure_lab.estimate import EmResult, em_two_type
 from latent_structure_lab.experiment import (
     ExperimentSpec,
     FourUrnsRun,
@@ -28,7 +30,6 @@ from latent_structure_lab.prob import (
     Grouping,
     TallyVector,
     group_outcomes,
-    kl_divergence,
 )
 from latent_structure_lab.rng import RngState, derive_seed
 from latent_structure_lab.search import (
@@ -42,6 +43,36 @@ from latent_structure_lab.search import (
     unrank_candidate,
 )
 from latent_structure_lab.simulate import build_urn_truth, draw_urn_sample
+
+
+def oracle_kl_divergence(p: Categorical, q: Categorical) -> float:
+    """KL(p || q) in nats over p's support; +inf where q leaves p's mass unsupported."""
+    if p.k != q.k:
+        raise ValueError(f"dimension mismatch: {p.k} vs {q.k}")
+    mask = p.weights > 0.0
+    pw = p.weights[mask]
+    qw = q.weights[mask]
+    if np.any(qw == 0.0):
+        return math.inf
+    return float(np.dot(pw, np.log(pw) - np.log(qw)))
+
+
+def oracle_dirichlet_mean(t: TallyVector, pseudocount: float = 1.0) -> Categorical:
+    """Posterior mean under a symmetric Dirichlet prior with the given pseudocount."""
+    if not pseudocount > 0.0:
+        raise ValueError("pseudocount must be positive")
+    return Categorical((t.counts + pseudocount) / (t.total + t.k * pseudocount))
+
+
+def oracle_per_unit_mixture(result: EmResult, hard: bool = False) -> list[Categorical]:
+    """Per-unit mixture (or, hard=True, most likely type) of an EM result, one unit at a time."""
+    out = []
+    for row in result.responsibilities:
+        if hard:
+            out.append(result.q_a if row[0] >= row[1] else result.q_b)
+        else:
+            out.append(Categorical(row[0] * result.q_a.weights + row[1] * result.q_b.weights))
+    return out
 
 
 def log_likelihood(t: TallyVector, q: Categorical) -> float:
@@ -352,14 +383,14 @@ def oracle_four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrn
 
     def evaluate(checkpoint_index: int) -> None:
         tallies = [TallyVector(counts[i]) for i in range(n_urns)]
-        raw_est = raw_tally_estimate(tallies, spec.estimator)
+        raw_est = [oracle_dirichlet_mean(t, spec.estimator.pseudocount) for t in tallies]
         em = em_two_type(tallies, spec.estimator, derive_seed(run_seed, 1000 + checkpoint_index))
-        ours_est = per_unit_mixture(em)
-        raw_rows.append([kl_divergence(truths[i], raw_est[i]) for i in range(n_urns)])
-        ours_rows.append([kl_divergence(truths[i], ours_est[i]) for i in range(n_urns)])
+        ours_est = oracle_per_unit_mixture(em)
+        raw_rows.append([oracle_kl_divergence(truths[i], raw_est[i]) for i in range(n_urns)])
+        ours_rows.append([oracle_kl_divergence(truths[i], ours_est[i]) for i in range(n_urns)])
         if spec.emit_hard_readout:
-            hard_est = per_unit_mixture(em, hard=True)
-            hard_rows.append([kl_divergence(truths[i], hard_est[i]) for i in range(n_urns)])
+            hard_est = oracle_per_unit_mixture(em, hard=True)
+            hard_rows.append([oracle_kl_divergence(truths[i], hard_est[i]) for i in range(n_urns)])
 
     cp_iter = iter(enumerate(grid))
     next_cp = next(cp_iter, None)

@@ -14,6 +14,7 @@ from latent_structure_lab.estimate import (
     grouped_known_estimate,
     independent_bits_estimate,
     joint_dirichlet_estimate,
+    mixture_rows,
     per_unit_mixture,
     raw_tally_estimate,
 )
@@ -27,7 +28,7 @@ from latent_structure_lab.prob import (
 )
 from latent_structure_lab.rng import RngState, derive_seed, next_unit
 from latent_structure_lab.simulate import BitsConfig, build_bitvector_truth, draw_bitvector
-from oracles import log_likelihood
+from oracles import log_likelihood, oracle_per_unit_mixture
 
 CFG = EstimatorConfig()
 
@@ -436,6 +437,28 @@ class TestPerUnitMixture:
             np.array_equal(h.weights, (result.q_a if r[0] >= r[1] else result.q_b).weights)
             for h, r in zip(hard, result.responsibilities)
         )
+
+    @pytest.mark.parametrize("hard", [False, True])
+    def test_rows_match_oracle_bits(self, hard):
+        rng = np.random.default_rng(21)
+        results = []
+        for seed in range(5):
+            counts = rng.integers(0, 30, size=(4, 8)).astype(np.float64)
+            results.append(em_two_type([TallyVector(row) for row in counts], CFG, seed))
+        resp = np.stack([r.responsibilities for r in results])
+        q_a = np.stack([r.q_a.weights for r in results])
+        q_b = np.stack([r.q_b.weights for r in results])
+        got = mixture_rows(resp, q_a, q_b, hard)
+        for c, result in enumerate(results):
+            want = np.stack([q.weights for q in oracle_per_unit_mixture(result, hard)])
+            wrapped = np.stack([q.weights for q in per_unit_mixture(result, hard)])
+            assert got[c].view(np.int64).tolist() == want.view(np.int64).tolist()
+            assert wrapped.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_hard_ties_go_to_type_a(self):
+        q_a, q_b = np.full(2, 0.5), np.array([0.25, 0.75])
+        got = mixture_rows(np.array([[0.5, 0.5], [0.25, 0.75]]), q_a, q_b, hard=True)
+        assert got.tolist() == [q_a.tolist(), q_b.tolist()]
 
 
 class TestIndependentBits:

@@ -22,12 +22,19 @@ from latent_structure_lab.experiment import (
     spec_to_jsonable,
     _four_urns_single_run,
     _bitvectors_single_run,
+    _truth_seed,
 )
 from latent_structure_lab import estimate as estimate_module
 from latent_structure_lab.estimate import EstimatorConfig
 from latent_structure_lab.pipeline import run_experiment
-from latent_structure_lab.prob import kl_divergence, Categorical
-from latent_structure_lab.simulate import BitsConfig, UrnConfig, build_bitvector_truth
+from latent_structure_lab.prob import kl_divergence, Categorical, TallyVector
+from latent_structure_lab.rng import derive_seed
+from latent_structure_lab.simulate import (
+    BitsConfig,
+    UrnConfig,
+    build_bitvector_truth,
+    build_urn_truth,
+)
 from oracles import oracle_four_urns_single_run
 
 
@@ -217,6 +224,57 @@ class TestFourUrnsMatchesStreamingOracle:
         for cps in ((5, 3), (4, 4)):
             with pytest.raises(ValueError, match="strictly increasing"):
                 ExperimentSpec(kind="four_urns", n_samples=10, n_runs=1, base_seed=0, checkpoints=cps)
+
+
+class TestFourUrnsReadoutWork:
+    """The checkpoint readout runs on arrays; only EM winners become objects."""
+
+    def test_builds_no_tally_and_two_categoricals_per_checkpoint(self, monkeypatch):
+        built = {"TallyVector": 0, "Categorical": 0}
+        for cls in (TallyVector, Categorical):
+            original = cls.__post_init__
+
+            def counted(self, original=original, name=cls.__name__):
+                built[name] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        spec = ExperimentSpec(kind="four_urns", n_samples=1000, n_runs=1, base_seed=1)
+        build_urn_truth(spec.urn_config, _truth_seed(spec, derive_seed(spec.base_seed, 0)))
+        truth_built, built["Categorical"] = built["Categorical"], 0
+        _four_urns_single_run(spec, 0)
+        n_checkpoints = len(default_checkpoints(spec.n_samples))
+        assert built["TallyVector"] == 0
+        assert built["Categorical"] <= truth_built + 2 * n_checkpoints
+
+
+class TestSpecFieldTypes:
+    """ExperimentSpec checks field types when built directly, not only from a spec file."""
+
+    BASE = dict(kind="four_urns", n_samples=20, n_runs=1, base_seed=1)
+
+    def test_rejects_non_integral_checkpoints(self):
+        with pytest.raises(ValueError, match="checkpoints must be integers, got 2.5"):
+            ExperimentSpec(**self.BASE, checkpoints=(2.5, 10.9))
+
+    def test_rejects_bool_checkpoints(self):
+        with pytest.raises(ValueError, match="checkpoints must be integers, got True"):
+            ExperimentSpec(**self.BASE, checkpoints=(True, 10))
+
+    def test_rejects_string_resample_truth(self):
+        with pytest.raises(ValueError, match="resample_truth must be a bool, got 'false'"):
+            ExperimentSpec(**self.BASE, resample_truth="false")
+
+    def test_rejects_int_emit_hard_readout(self):
+        with pytest.raises(ValueError, match="emit_hard_readout must be a bool, got 1"):
+            ExperimentSpec(**self.BASE, emit_hard_readout=1)
+
+    def test_accepts_numpy_integers_and_bools(self):
+        spec = ExperimentSpec(
+            **self.BASE, checkpoints=(np.int64(2), np.int32(10)), resample_truth=np.bool_(False)
+        )
+        assert spec.checkpoints == (2, 10) and type(spec.checkpoints[0]) is int
+        assert spec.resample_truth is False
 
 
 class TestBitVectors:

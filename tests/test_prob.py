@@ -12,10 +12,12 @@ from latent_structure_lab.prob import (
     group_outcomes,
     joint_from_grouping,
     joint_from_independent_bits,
+    dirichlet_mean_rows,
     kl_divergence,
+    kl_divergence_rows,
     total_variation,
 )
-from oracles import log_likelihood
+from oracles import log_likelihood, oracle_dirichlet_mean, oracle_kl_divergence
 
 
 def random_categorical(rng, k):
@@ -91,6 +93,73 @@ class TestKlDivergence:
             assert kl_divergence(p, p) == 0.0
 
 
+def random_rows(rng, n, k):
+    rows = rng.exponential(size=(n, k))
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+class TestKlDivergenceRows:
+    """The array KL against the scalar oracle, bit for bit."""
+
+    @pytest.mark.parametrize("k", [8, 4096])
+    def test_matches_oracle_bits(self, k):
+        rng = np.random.default_rng(k)
+        sparse = rng.exponential(size=k)
+        sparse[rng.random(k) < 0.25] = 0.0
+        q = random_rows(rng, 40, k)
+        q[3, rng.integers(k)] = 0.0
+        q[3] /= q[3].sum()
+        # Strided layouts too: the (checkpoints, urns, colors) readout passes views.
+        layouts = (q, np.asfortranarray(q), np.stack([q, q[::-1]], axis=1)[:, 0])
+        for p in (Categorical(random_rows(rng, 1, k)[0]), Categorical.normalized(sparse)):
+            want = np.array([oracle_kl_divergence(p, Categorical(row)) for row in q])
+            for rows in layouts:
+                got = kl_divergence_rows(p, rows)
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+            one = [kl_divergence(p, Categorical(row)) for row in q]
+            assert np.array(one).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_leading_axes_are_kept(self):
+        rng = np.random.default_rng(5)
+        p = Categorical(random_rows(rng, 1, 8)[0])
+        q = random_rows(rng, 12, 8)
+        got = kl_divergence_rows(p, q.reshape(3, 4, 8))
+        assert got.shape == (3, 4)
+        assert got.ravel().tolist() == kl_divergence_rows(p, q).tolist()
+
+    def test_equal_rows_give_exact_zero(self):
+        p = Categorical(random_rows(np.random.default_rng(6), 1, 8)[0])
+        assert kl_divergence_rows(p, np.stack([p.weights] * 3)).tolist() == [0.0] * 3
+
+    def test_unsupported_mass_is_infinite_per_row(self):
+        p = Categorical(np.array([0.5, 0.5, 0.0]))
+        q = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.25, 0.25, 0.5]])
+        got = kl_divergence_rows(p, q)
+        assert got[0] == 0.0 and got[1] == math.inf
+        assert got[2] == oracle_kl_divergence(p, Categorical(q[2]))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([np.nan, 0.5, 0.5], "sum to 1"),
+            ([0.75, 0.5, -0.25], "nonnegative"),
+            ([0.5, 0.25, 0.125], "sum to 1"),
+        ],
+    )
+    def test_bad_rows_raise_like_categorical(self, bad, message):
+        p = Categorical.uniform(3)
+        with pytest.raises(ValueError, match=message) as categorical:
+            Categorical(np.array(bad))
+        q = np.array([[0.25, 0.25, 0.5], bad])
+        with pytest.raises(ValueError, match=message) as rows:
+            kl_divergence_rows(p, q)
+        assert str(rows.value) == str(categorical.value)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            kl_divergence_rows(Categorical.uniform(2), np.full((4, 3), 1 / 3))
+
+
 class TestLogLikelihood:
     def test_empty_counts(self):
         assert log_likelihood(TallyVector.zeros(5), Categorical.uniform(5)) == 0.0
@@ -139,6 +208,23 @@ class TestDirichletMean:
             assert kl < previous
             previous = kl
         assert previous < 1e-6
+
+
+    def test_rows_match_oracle_bits(self):
+        rng = np.random.default_rng(11)
+        counts = rng.integers(0, 40, size=(6, 4, 8)).astype(np.float64)
+        counts[0, 0] = 0.0
+        counts[1, 2, :] = rng.random(8) * 3.0  # fractional, as responsibility-weighted tallies are
+        got = dirichlet_mean_rows(counts, 0.5)
+        for index in np.ndindex(counts.shape[:2]):
+            want = oracle_dirichlet_mean(TallyVector(counts[index]), 0.5).weights
+            assert got[index].view(np.int64).tolist() == want.view(np.int64).tolist()
+            wrapped = dirichlet_mean(TallyVector(counts[index]), 0.5).weights
+            assert wrapped.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_rows_require_positive_pseudocount(self):
+        with pytest.raises(ValueError):
+            dirichlet_mean_rows(np.zeros((2, 4)), 0.0)
 
 
 class TestJointFromIndependentBits:
