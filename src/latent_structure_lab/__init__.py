@@ -7,6 +7,7 @@ and reproducible KL-vs-samples experiment curves.
 from .estimate import (
     EmResult,
     EstimatorConfig,
+    bit_case_joint,
     em_two_type,
     em_two_type_many,
     grouped_known_estimate,

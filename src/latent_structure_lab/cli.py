@@ -17,21 +17,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import grouped_known_estimate, independent_bits_estimate, joint_dirichlet_estimate
-from .experiment import BIT_CASES, ExpensiveSearchError, config_from_jsonable, spec_from_jsonable
-from .pipeline import run_experiment
-from .prob import (
-    CapacityError,
-    TallyVector,
-    joint_from_grouping,
-    joint_from_independent_bits,
-    kl_divergence,
+from .estimate import (
+    BIT_CASES,
+    EstimatorConfig,
+    bit_case_joint,
+    em_two_type,
+    independent_bits_estimate,
+    per_unit_mixture,
+    raw_tally_estimate,
 )
+from .experiment import ExpensiveSearchError, config_from_jsonable, spec_from_jsonable
+from .pipeline import run_experiment
+from .prob import CapacityError, TallyVector, kl_divergence
 from .report import read_curves_csv, render_svg, write_svg
 from .rng import RngState
 from .search import (
     SearchConfig,
-    estimate_from_candidate,
+    candidate_count,
     search,
     search_result_jsonable,
     write_search_result,
@@ -52,6 +54,7 @@ from .simulate import (
     read_bits_dataset,
     read_model,
     read_urn_dataset,
+    true_joint,
     write_bits_dataset,
     write_model,
     write_urn_dataset,
@@ -123,8 +126,6 @@ def _estimate_urns(args: argparse.Namespace, truth: UrnTruth | None) -> dict:
             raise UsageError(f"data: sample ({s.urn_id + 1}, {s.color + 1}) outside model range")
         counts[s.urn_id, s.color] += 1.0
     tallies = [TallyVector(counts[i]) for i in range(n_urns)]
-    from .estimate import EstimatorConfig, em_two_type, per_unit_mixture, raw_tally_estimate
-
     cfg = EstimatorConfig()
     if args.case == "raw":
         dists = raw_tally_estimate(tallies, cfg)
@@ -139,36 +140,19 @@ def _estimate_urns(args: argparse.Namespace, truth: UrnTruth | None) -> dict:
 
 
 def _estimate_bits(args: argparse.Namespace, truth: BitVectorTruth | None) -> dict:
-    from .estimate import EstimatorConfig
-
+    """Works out the grouping (--model, or a search for c1/c12) and fits the case."""
     patterns, v = read_bits_dataset(args.data)
     if truth is not None and truth.v != v:
         raise UsageError(f"data: bit width {v} does not match the model's {truth.v}")
     cfg = EstimatorConfig()
     payload: dict = {"case": args.case, "v": v}
+    grouping = truth.hidden_grouping if truth is not None else None
+    assignment = None
     if args.case == "c0":
-        arr = np.asarray(patterns, dtype=np.int64)
-        ones = [(float(((arr >> (v - 1 - var)) & 1).sum()), float(len(patterns))) for var in range(v)]
-        probs = independent_bits_estimate(ones, cfg)
-        est = joint_from_independent_bits(probs)
-        payload["bit_probs"] = [float(p) for p in probs]
-    elif args.case == "c0p":
-        est = joint_dirichlet_estimate(
-            TallyVector(np.bincount(np.asarray(patterns, np.int64), minlength=1 << v)), cfg
-        )
-    elif args.case in ("c13", "c123"):
-        if truth is None:
-            raise UsageError(f"case {args.case} requires --model (it supplies the grouping)")
-        dists, _ = grouped_known_estimate(
-            truth.hidden_grouping,
-            patterns,
-            cfg,
-            share_types=args.case == "c123",
-            seed=args.seed,
-        )
-        est = joint_from_grouping(truth.hidden_grouping, dists)
-        payload["grouping"] = [[var + 1 for var in grp] for grp in truth.hidden_grouping.slots]
-    else:  # c1 / c12
+        payload["bit_probs"] = [float(p) for p in independent_bits_estimate(patterns, v, cfg)]
+    elif args.case in ("c13", "c123") and truth is None:
+        raise UsageError(f"case {args.case} requires --model (it supplies the grouping)")
+    elif args.case in ("c1", "c12"):
         if args.g is None or args.s is None:
             if truth is None:
                 raise UsageError(f"case {args.case} requires --g and --s (or --model)")
@@ -184,14 +168,14 @@ def _estimate_bits(args: argparse.Namespace, truth: BitVectorTruth | None) -> di
             workers=args.workers,
             top_k=1,
         )
-        best = search(patterns, cfg_search)[0]
-        est = estimate_from_candidate(patterns, best.candidate, cfg, seed=args.seed)
-        payload["grouping"] = [[var + 1 for var in grp] for grp in best.candidate.grouping.slots]
-        if best.candidate.assignment:
-            payload["assignment"] = list(best.candidate.assignment)
+        best = search(patterns, cfg_search)[0].candidate
+        grouping, assignment = best.grouping, best.assignment
+        if assignment:
+            payload["assignment"] = list(assignment)
+    if args.case not in ("c0", "c0p"):
+        payload["grouping"] = [[var + 1 for var in grp] for grp in grouping.slots]
+    est = bit_case_joint(args.case, patterns, v, cfg, grouping, assignment, seed=args.seed)
     if truth is not None:
-        from .simulate import true_joint
-
         _info(f"KL joint: {kl_divergence(true_joint(truth), est):.6f}")
     payload["joint"] = est.to_list()
     return payload
@@ -227,8 +211,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         workers=args.workers,
         top_k=args.top_k,
     )
-    from .search import candidate_count
-
     started = time.perf_counter()
     results = search(patterns, cfg)
     elapsed = time.perf_counter() - started

@@ -14,24 +14,40 @@ The EM runs on raw float arrays with one row per restart, each row with its
 own counts and stopping iteration. em_two_type runs one dataset's restarts
 side by side; em_two_type_many runs the restarts of many datasets (the
 checkpoints of a four-urns run) in the same loop, in batches of at most
-_EM_BATCH_ROWS rows. Inputs are validated once, at entry; only each
-dataset's winning restart is wrapped in Categoricals.
+_EM_BATCH_ROWS rows, and returns each dataset's winning restart as arrays.
+Inputs are validated once, at entry; only em_two_type wraps its winner in
+Categoricals.
 
 Per-unit estimates are read out on arrays: mixture_rows mixes (..., K)
 type distributions by (..., N, 2) responsibilities, so a four-urns run
 forms every checkpoint's estimates at once, and per_unit_mixture is its
 one-result case. The raw estimate is prob.dirichlet_mean_rows.
+
+The bit-vector ladder (BIT_CASES) is fitted in one place, bit_case_joint:
+c0 independent bits, c0p one bin per pattern, c13/c1 unrelated smoothed
+groups and c123/c12 the two-type EM over groups, for a known (c13, c123)
+or searched (c1, c12) grouping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .prob import Categorical, Grouping, TallyVector, dirichlet_mean, group_outcomes
+from .prob import (
+    Categorical,
+    Grouping,
+    TallyVector,
+    dirichlet_mean,
+    group_outcomes,
+    joint_from_grouping,
+    joint_from_independent_bits,
+)
 from .rng import RngState, next_units
+
+BIT_CASES = ("c0", "c0p", "c13", "c123", "c1", "c12")
 
 
 @dataclass(frozen=True)
@@ -226,48 +242,47 @@ def em_two_type(
     """
     counts = _counts_matrix(tallies)[None]
     if init_responsibilities is None:
-        return next(em_two_type_many(counts, cfg, [seed]))
-    resp = np.asarray(init_responsibilities, dtype=np.float64)
-    if resp.shape != (counts.shape[1], 2):
-        raise ValueError(f"init_responsibilities must have shape ({counts.shape[1]}, 2)")
-    if not np.all(np.isfinite(resp)) or np.any(resp < 0.0):
-        raise ValueError("init_responsibilities must be finite and nonnegative")
-    starts = _em_m_step(counts, resp[None], cfg.pseudocount)
+        starts = _restart_starts(counts, cfg, [seed])
+        counts = np.repeat(counts, cfg.em_restarts, axis=0)
+    else:
+        resp = np.asarray(init_responsibilities, dtype=np.float64)
+        if resp.shape != (counts.shape[1], 2):
+            raise ValueError(f"init_responsibilities must have shape ({counts.shape[1]}, 2)")
+        if not np.all(np.isfinite(resp)) or np.any(resp < 0.0):
+            raise ValueError("init_responsibilities must be finite and nonnegative")
+        starts = _em_m_step(counts, resp[None], cfg.pseudocount)
     return _winner(*_em_batch(counts, starts, cfg))
 
 
 def em_two_type_many(
     counts: np.ndarray, cfg: EstimatorConfig, seeds: Sequence[int]
-) -> Iterator[EmResult]:
+) -> tuple[np.ndarray, np.ndarray]:
     """em_two_type over each (N, K) count matrix in counts (C, N, K), with seeds[c] for counts[c].
 
-    Equal bit for bit to C em_two_type calls from noisy restarts, but the
-    restarts of several datasets share one _em_batch call (at most
-    _EM_BATCH_ROWS rows), each row with its own counts and stopping
-    iteration. Inputs are validated here, as em_two_type's are; the batches
-    run as the returned iterator reaches them, so only one batch's results
-    are held at a time.
+    Returns the winners' (C, 2, K) type distributions q (q[c, 0] is q_a)
+    and (C, N, 2) responsibilities, equal bit for bit to C em_two_type
+    calls from noisy restarts: each dataset keeps the first restart with
+    the largest objective. The restarts of several datasets share one
+    _em_batch call (at most _EM_BATCH_ROWS rows), each row with its own
+    counts and stopping iteration. Inputs are validated here, as
+    em_two_type's are.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 3 or 0 in counts.shape[1:] or counts.shape[0] != len(seeds):
         raise ValueError("counts must be (C, N, K) with N, K >= 1 and one seed per dataset")
     if not np.all(np.isfinite(counts)) or np.any(counts < 0.0):
         raise ValueError("counts must be finite and nonnegative")
-    return _em_batches(counts, cfg, seeds)
-
-
-def _em_batches(counts: np.ndarray, cfg: EstimatorConfig, seeds: Sequence[int]) -> Iterator[EmResult]:
     restarts = cfg.em_restarts
     per_batch = max(1, _EM_BATCH_ROWS // restarts)
+    q = np.empty((len(seeds), 2, counts.shape[2]))
+    resp = np.empty(counts.shape[:2] + (2,))
     for lo in range(0, len(seeds), per_batch):
         block = counts[lo : lo + per_batch]
         starts = _restart_starts(block, cfg, seeds[lo : lo + per_batch])
-        q, resp, objectives, traces, iterations = _em_batch(
-            np.repeat(block, restarts, axis=0), starts, cfg
-        )
-        for c in range(len(block)):
-            rows = slice(c * restarts, (c + 1) * restarts)
-            yield _winner(q[rows], resp[rows], objectives[rows], traces[:, rows], iterations[rows])
+        block_q, block_resp, objectives, _, _ = _em_batch(np.repeat(block, restarts, axis=0), starts, cfg)
+        best = objectives.reshape(len(block), restarts).argmax(axis=1) + restarts * np.arange(len(block))
+        q[lo : lo + len(block)], resp[lo : lo + len(block)] = block_q[best], block_resp[best]
+    return q, resp
 
 
 def per_unit_mixture(result: EmResult, hard: bool = False) -> list[Categorical]:
@@ -291,16 +306,12 @@ def mixture_rows(
     return resp[..., :1] * q_a + resp[..., 1:] * q_b
 
 
-def independent_bits_estimate(
-    bit_tallies: Sequence[tuple[float, float]], cfg: EstimatorConfig
-) -> np.ndarray:
-    """Per-variable Bernoulli posterior means under a Beta(pc, pc) prior."""
-    probs = np.empty(len(bit_tallies))
-    for i, (ones, total) in enumerate(bit_tallies):
-        if ones < 0 or total < 0 or ones > total:
-            raise ValueError(f"bad bit tally ({ones}, {total}) at variable {i}")
-        probs[i] = (ones + cfg.pseudocount) / (total + 2.0 * cfg.pseudocount)
-    return probs
+def independent_bits_estimate(patterns: Sequence[int], v: int, cfg: EstimatorConfig) -> np.ndarray:
+    """Per-variable Bernoulli posterior means under a Beta(pc, pc) prior,
+    from the V-bit patterns (variable 0 is the most significant bit)."""
+    arr = np.asarray(patterns, dtype=np.int64)
+    ones = ((arr[:, None] >> (v - 1 - np.arange(v))) & 1).sum(axis=0)
+    return (ones + cfg.pseudocount) / (len(arr) + 2.0 * cfg.pseudocount)
 
 
 def joint_dirichlet_estimate(joint_tally: TallyVector, cfg: EstimatorConfig) -> Categorical:
@@ -343,3 +354,34 @@ def grouped_known_estimate(
     init = assignment_responsibilities(init_assignment) if init_assignment is not None else None
     result = em_two_type(tallies, cfg, seed, init_responsibilities=init)
     return per_unit_mixture(result), result
+
+
+def bit_case_joint(
+    case: str,
+    patterns: Sequence[int],
+    v: int,
+    cfg: EstimatorConfig,
+    grouping: Grouping | None = None,
+    assignment: Sequence[str] | None = None,
+    seed: int = 0,
+) -> Categorical:
+    """The 2**V joint that ladder case `case` (one of BIT_CASES) fits to the V-bit patterns.
+
+    c0 and c0p ignore the grouping. c13 and c1 fit the grouping's groups as
+    unrelated smoothed tallies; c123 runs the two-type EM over them from
+    noisy restarts seeded by `seed`, and c12 refines the hard a/b
+    `assignment` (a searched candidate's labels) instead.
+    """
+    if case not in BIT_CASES:
+        raise ValueError(f"unknown case id {case!r}; valid: {list(BIT_CASES)}")
+    if case == "c0":
+        return joint_from_independent_bits(independent_bits_estimate(patterns, v, cfg))
+    if case == "c0p":
+        tally = TallyVector(np.bincount(np.asarray(patterns, dtype=np.int64), minlength=1 << v))
+        return joint_dirichlet_estimate(tally, cfg)
+    if grouping is None or (assignment is None) == (case == "c12"):
+        raise ValueError(f"case {case} needs a grouping, and an assignment exactly when it is c12")
+    dists, _ = grouped_known_estimate(
+        grouping, patterns, cfg, case in ("c123", "c12"), seed=seed, init_assignment=assignment
+    )
+    return joint_from_grouping(grouping, dists)

@@ -20,25 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimate import (
-    EstimatorConfig,
-    TallyVector,
-    em_two_type_many,
-    grouped_known_estimate,
-    independent_bits_estimate,
-    joint_dirichlet_estimate,
-    mixture_rows,
-)
-from .prob import (
-    Categorical,
-    dirichlet_mean_rows,
-    joint_from_grouping,
-    joint_from_independent_bits,
-    kl_divergence,
-    kl_divergence_rows,
-)
+from .estimate import BIT_CASES, EstimatorConfig, bit_case_joint, em_two_type_many, mixture_rows
+from .prob import dirichlet_mean_rows, joint_from_independent_bits, kl_divergence, kl_divergence_rows
 from .rng import RngState, derive_seed
-from .search import Candidate, SearchConfig, candidate_count, estimate_from_candidate, search
+from .search import Candidate, SearchConfig, candidate_count, search
 from .simulate import (
     BitsConfig,
     BitVectorTruth,
@@ -50,8 +35,6 @@ from .simulate import (
     draw_urn_samples,
     true_joint,
 )
-
-BIT_CASES = ("c0", "c0p", "c13", "c123", "c1", "c12")
 
 # case12 candidates scored per worker CPU-second, which check_search_cost
 # prices a refused search at. The traced V=12 marginal-scorer sweep of
@@ -135,6 +118,8 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be a bool, got {value!r}")
             object.__setattr__(self, name, bool(value))
         if self.checkpoints is not None:
+            if not self.checkpoints:
+                raise ValueError("checkpoints []: must list one or more sample counts, or be left out")
             for cp in self.checkpoints:
                 if isinstance(cp, bool) or not isinstance(cp, numbers.Integral):
                     raise ValueError(f"checkpoints must be integers, got {cp!r}")
@@ -257,11 +242,9 @@ def _four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrnsRun:
     grid = _curve_checkpoints(spec) or ((0,) if spec.n_samples == 0 else ())
     truths = [truth.urn_dist(i) for i in range(n_urns)]
     counts = _checkpoint_counts(samples, grid, n_urns, truth.n_colors)
-    resp = np.empty((len(grid), n_urns, 2))
-    q_a, q_b = np.empty((2, len(grid), truth.n_colors))
     seeds = [derive_seed(run_seed, 1000 + c) for c in range(len(grid))]
-    for c, em in enumerate(em_two_type_many(counts, spec.estimator, seeds)):
-        resp[c], q_a[c], q_b[c] = em.responsibilities, em.q_a.weights, em.q_b.weights
+    q, resp = em_two_type_many(counts, spec.estimator, seeds)
+    q_a, q_b = q[:, 0], q[:, 1]
 
     def curve(label: str, estimates: np.ndarray) -> KlCurve:
         """Per-urn KL curves from (checkpoints, urns, colors) estimates."""
@@ -368,24 +351,18 @@ class _SearchCase:
         self.search_at = set(cps) if cps is not None else None
         self.best: Candidate | None = None
 
-    def estimate(self, patterns: list[int], n: int, est_cfg: EstimatorConfig, seed: int) -> Categorical:
+    def candidate(self, patterns: np.ndarray, n: int) -> Candidate:
         if self.search_at is None or n in self.search_at or self.best is None:
             self.best = search(patterns[:n], self.cfg)[0].candidate
-        return estimate_from_candidate(patterns[:n], self.best, est_cfg, seed)
+        return self.best
 
 
 def _bitvectors_single_run(spec: ExperimentSpec, run_index: int) -> BitVectorsRun:
     run_seed = derive_seed(spec.base_seed, run_index)
     truth = build_bitvector_truth(spec.bits_config, _truth_seed(spec, run_seed))
-    arr, _ = draw_bitvectors(truth, RngState(derive_seed(run_seed, 2)), spec.n_samples)
-    patterns: list[int] = arr.tolist()
-
-    v = truth.v
+    patterns, _ = draw_bitvectors(truth, RngState(derive_seed(run_seed, 2)), spec.n_samples)
     joint = true_joint(truth)
     grid = _curve_checkpoints(spec)
-    grouping = truth.hidden_grouping
-    bit_prefix = np.cumsum(((arr[:, None] >> (v - 1 - np.arange(v))) & 1), axis=0)
-
     searchers = {
         case: _SearchCase(spec, "case1" if case == "c1" else "case12")
         for case in spec.cases
@@ -395,27 +372,11 @@ def _bitvectors_single_run(spec: ExperimentSpec, run_index: int) -> BitVectorsRu
     for cp_index, n in enumerate(grid):
         for case in spec.cases:
             seed = derive_seed(run_seed, 1000 + cp_index * len(BIT_CASES) + BIT_CASES.index(case))
-            if case == "c0":
-                ones = bit_prefix[n - 1]
-                probs = independent_bits_estimate(
-                    [(float(o), float(n)) for o in ones], spec.estimator
-                )
-                est = joint_from_independent_bits(probs)
-            elif case == "c0p":
-                tally = TallyVector(np.bincount(arr[:n], minlength=1 << v))
-                est = joint_dirichlet_estimate(tally, spec.estimator)
-            elif case == "c13":
-                dists, _ = grouped_known_estimate(
-                    grouping, patterns[:n], spec.estimator, share_types=False
-                )
-                est = joint_from_grouping(grouping, dists)
-            elif case == "c123":
-                dists, _ = grouped_known_estimate(
-                    grouping, patterns[:n], spec.estimator, share_types=True, seed=seed
-                )
-                est = joint_from_grouping(grouping, dists)
-            else:
-                est = searchers[case].estimate(patterns, n, spec.estimator, seed)
+            found = searchers[case].candidate(patterns, n) if case in searchers else None
+            grouping, assignment = (
+                (found.grouping, found.assignment) if found else (truth.hidden_grouping, None)
+            )
+            est = bit_case_joint(case, patterns[:n], truth.v, spec.estimator, grouping, assignment, seed)
             rows[case].append((n, kl_divergence(joint, est)))
 
     curves = {case: KlCurve(label=case, points=tuple(rows[case])) for case in spec.cases}

@@ -34,10 +34,10 @@ are all pure functions of (dataset, config), so results are identical for
 any worker count.
 
 In case1 mode there is no assignment and no type is shared, so neither the
-case1 scorers nor `estimate_from_candidate` read slot order within a group
-or the order of the groups: a hypothesis is a set partition of the V
-variables into G groups of S. The canonical form sorts each group and
-orders groups by their smallest variable, giving
+case1 scorers nor the c1 estimate (`estimate.bit_case_joint`) read slot
+order within a group or the order of the groups: a hypothesis is a set
+partition of the V variables into G groups of S. The canonical form sorts
+each group and orders groups by their smallest variable, giving
 prod_j C(V - j*S - 1, S - 1) = V!/(G! * (S!)**G) candidates. Group j is the
 pool's smallest unused variable plus an (S-1)-subset of the rest, which are
 exactly the first C(n-1, S-1) lexicographic S-subsets of the n-variable
@@ -57,8 +57,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimate import EstimatorConfig, grouped_known_estimate
-from .prob import CapacityError, Categorical, Grouping, group_outcomes, joint_from_grouping
+from .estimate import EstimatorConfig, bit_case_joint
+from .prob import CapacityError, Categorical, Grouping, group_outcomes
 
 logger = logging.getLogger(__name__)
 
@@ -478,24 +478,11 @@ def search(patterns: Sequence[int], cfg: SearchConfig) -> list[ScoredCandidate]:
 def estimate_from_candidate(
     patterns: Sequence[int], candidate: Candidate, est_cfg: EstimatorConfig, seed: int = 0
 ) -> Categorical:
-    """The joint implied by fitting this candidate's model to the data.
-
-    case12 candidates seed the two-type EM with their assignment as a hard
-    initialization and refine from there; case1 candidates use independent
-    smoothed per-group estimates.
-    """
-    if candidate.assignment is None:
-        dists, _ = grouped_known_estimate(candidate.grouping, patterns, est_cfg, share_types=False)
-    else:
-        dists, _ = grouped_known_estimate(
-            candidate.grouping,
-            patterns,
-            est_cfg,
-            share_types=True,
-            seed=seed,
-            init_assignment=candidate.assignment,
-        )
-    return joint_from_grouping(candidate.grouping, dists)
+    """The joint of ladder case c1 (case1 candidates) or c12 (case12
+    candidates, whose assignment starts the two-type EM) fitted to the data."""
+    grouping, assignment = candidate.grouping, candidate.assignment
+    case = "c1" if assignment is None else "c12"
+    return bit_case_joint(case, patterns, grouping.v, est_cfg, grouping, assignment, seed)
 
 
 def in_truth_orbit(candidate: Candidate, truth_joint: Categorical) -> bool:

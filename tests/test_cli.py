@@ -137,6 +137,33 @@ class TestEstimate:
         assert len(payload["estimates"]) == 4
         assert "KL total:" in captured.err
 
+    # sha256 of the `--out` JSON of every case id with --model and --seed 7:
+    # urn cases on 200 samples of urns model seed 4 (sample seed 5), bit
+    # cases on the bits_setup data (V=6, G=2, S=3, 120 samples).
+    PINNED_ESTIMATES = {
+        "raw": "7d07a7c317b16a7840481fb900bcc68da9c3c8408c2f356cd612c6299ab2133d",
+        "ours": "375009863f8239529d46dabfbc1146b3439019dad7774a666379460fd06ef7bd",
+        "c0": "e4e3838d5146ea133cef7614f525a59a8fd3bb818fbbf2b6f6825f66cca3bd1f",
+        "c0p": "02d9e2458e11daa1ea48c74449641da130964fa8f3d57874467534fd3d7bf250",
+        "c13": "bc2581c7b34af6ba6951758e344468dc2404ae8e0a4550ea098666ac37212985",
+        "c123": "a99fa80587988460c9f87bf75054aa834001383ac9872632621e41baf2ae6a31",
+        "c1": "f507c9c8bde907734b6d0e513bac7290da1de648a42f517be9f57e4c292f0949",
+        "c12": "c547a8abe80f9e0fccdb9cb3428dfda8d898621495b48ca2be5a86cf8be2aa35",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_ESTIMATES))
+    def test_pinned_output_bytes(self, bits_setup, tmp_path, case):
+        if case in ("raw", "ours"):
+            model, data = tmp_path / "urns.json", tmp_path / "urns.jsonl"
+            assert main(["gen-model", "--kind", "urns", "--seed", "4", "--out", str(model)]) == 0
+            assert main(["sample", "--model", str(model), "--n", "200", "--seed", "5", "--out", str(data)]) == 0
+        else:
+            model, data = bits_setup
+        out = tmp_path / "est.json"
+        argv = ["estimate", "--case", case, "--data", str(data), "--model", str(model), "--seed", "7"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_ESTIMATES[case]
+
 
 class TestSearchCommand:
     def test_search_result_file(self, bits_setup, tmp_path):
@@ -238,9 +265,12 @@ class TestExperimentCommand:
             ({**BITS, "search": {"checkpoints": [105, 155]}}, "search.checkpoints [105, 155]"),
             ({**BITS, "search": {"checkpoints": [0, -4, 999]}}, "search.checkpoints [0, -4, 999]"),
             ({**BITS, "search": {"checkpoints": []}}, "search.checkpoints []"),
+            ({**URNS, "checkpoints": []}, "spec: checkpoints []"),
+            ({**BITS, "checkpoints": []}, "spec: checkpoints []"),
         ],
         ids=["float_int", "float_workers", "float_samples", "string_bool", "removed_threshold",
-             "off_grid_checkpoints", "out_of_range_checkpoints", "empty_checkpoints"],
+             "off_grid_checkpoints", "out_of_range_checkpoints", "empty_checkpoints",
+             "empty_urn_curve_checkpoints", "empty_bit_curve_checkpoints"],
     )
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, spec, named):
         path = tmp_path / "spec.json"

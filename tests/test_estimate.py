@@ -8,6 +8,7 @@ from latent_structure_lab import estimate as estimate_module
 from latent_structure_lab.estimate import (
     EstimatorConfig,
     assignment_responsibilities,
+    bit_case_joint,
     em_two_type,
     em_two_type_many,
     group_tallies,
@@ -24,6 +25,7 @@ from latent_structure_lab.prob import (
     TallyVector,
     dirichlet_mean,
     joint_from_grouping,
+    joint_from_independent_bits,
     kl_divergence,
 )
 from latent_structure_lab.rng import RngState, derive_seed, next_unit
@@ -342,20 +344,15 @@ class TestEmMatchesOracle:
         assert_matches_oracle(tallies, CFG, 0, init=rng.random((6, 4))[:, ::2])
 
 
-def assert_results_equal(got, want):
-    """Every EmResult field equal bit for bit."""
-    np.testing.assert_array_equal(bits(got.q_a.weights), bits(want.q_a.weights))
-    np.testing.assert_array_equal(bits(got.q_b.weights), bits(want.q_b.weights))
-    np.testing.assert_array_equal(bits(got.responsibilities), bits(want.responsibilities))
-    assert bits(got.log_likelihood) == bits(want.log_likelihood)
-    assert got.iterations == want.iterations
-    assert got.restarts_used == want.restarts_used
-    np.testing.assert_array_equal(bits(got.trace), bits(want.trace))
-    np.testing.assert_array_equal(bits(got.restart_objectives), bits(want.restart_objectives))
+def assert_winners_equal(q, resp, want):
+    """em_two_type_many's winner arrays for one dataset equal an EmResult bit for bit."""
+    np.testing.assert_array_equal(bits(q[0]), bits(want.q_a.weights))
+    np.testing.assert_array_equal(bits(q[1]), bits(want.q_b.weights))
+    np.testing.assert_array_equal(bits(resp), bits(want.responsibilities))
 
 
 class TestEmManyMatchesSingleCalls:
-    """em_two_type_many equals one em_two_type call per dataset, across batch boundaries."""
+    """em_two_type_many's winners equal one em_two_type call per dataset, across batch boundaries."""
 
     @pytest.mark.parametrize("max_iters", (1, 2, 500))
     @pytest.mark.parametrize("restarts", (1, 3, 5, 7))
@@ -367,23 +364,24 @@ class TestEmManyMatchesSingleCalls:
         counts[1] = 0.0  # a dataset with no samples
         seeds = [int(x) for x in rng.integers(0, 1 << 62, size=n_sets)]
         cfg = EstimatorConfig(em_max_iters=max_iters, em_restarts=restarts)
-        results = list(em_two_type_many(counts, cfg, seeds))
-        assert len(results) == n_sets
-        for c, result in enumerate(results):
+        q, resp = em_two_type_many(counts, cfg, seeds)
+        assert q.shape == (n_sets, 2, 8) and resp.shape == (n_sets, 4, 2)
+        for c in range(n_sets):
             tallies = [TallyVector(row) for row in counts[c]]
-            assert_results_equal(result, em_two_type(tallies, cfg, seeds[c]))
+            assert_winners_equal(q[c], resp[c], em_two_type(tallies, cfg, seeds[c]))
 
     def test_row_cap_does_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 60, size=(23, 5, 4)).astype(float)
         seeds = list(range(23))
-        batched = list(em_two_type_many(counts, CFG, seeds))
+        batched = em_two_type_many(counts, CFG, seeds)
         monkeypatch.setattr(estimate_module, "_EM_BATCH_ROWS", 1)
         for got, want in zip(batched, em_two_type_many(counts, CFG, seeds)):
-            assert_results_equal(got, want)
+            np.testing.assert_array_equal(bits(got), bits(want))
 
     def test_no_datasets(self):
-        assert list(em_two_type_many(np.zeros((0, 4, 8)), CFG, [])) == []
+        q, resp = em_two_type_many(np.zeros((0, 4, 8)), CFG, [])
+        assert q.shape == (0, 2, 8) and resp.shape == (0, 4, 2)
 
     @pytest.mark.parametrize(
         "counts, seeds",
@@ -463,15 +461,57 @@ class TestPerUnitMixture:
 
 class TestIndependentBits:
     def test_prior_mean(self):
-        assert independent_bits_estimate([(0, 0)], CFG)[0] == 0.5
+        assert independent_bits_estimate([], 1, CFG).tolist() == [0.5]
 
     def test_formula(self):
-        assert independent_bits_estimate([(3, 4)], CFG)[0] == pytest.approx(4 / 6)
-        assert independent_bits_estimate([(999, 1000)], CFG)[0] == pytest.approx(1000 / 1002)
+        # Variable 0 is the most significant bit: 3 of 4 patterns set it, 1 sets variable 1.
+        assert independent_bits_estimate([0b10, 0b11, 0b10, 0b00], 2, CFG).tolist() == [4 / 6, 2 / 6]
+        assert independent_bits_estimate([1] * 999 + [0], 1, CFG)[0] == pytest.approx(1000 / 1002)
 
-    def test_rejects_bad_tally(self):
-        with pytest.raises(ValueError):
-            independent_bits_estimate([(5, 4)], CFG)
+
+class TestBitCaseJoint:
+    """bit_case_joint fits each ladder case as the estimators it names, bit for bit."""
+
+    GROUPING = Grouping(((0, 3, 4), (5, 1, 2)))
+
+    def _patterns(self):
+        truth = build_bitvector_truth(BitsConfig(v=6, g=2, s=3), 17)
+        return draw_patterns(truth, 4, 90)
+
+    def test_cases_match_their_estimators(self):
+        patterns, g = self._patterns(), self.GROUPING
+        tally = TallyVector(np.bincount(np.asarray(patterns), minlength=64))
+        plain, _ = grouped_known_estimate(g, patterns, CFG)
+        shared, _ = grouped_known_estimate(g, patterns, CFG, share_types=True, seed=5)
+        refined, _ = grouped_known_estimate(
+            g, patterns, CFG, share_types=True, init_assignment=("b", "a")
+        )
+        want = {
+            "c0": joint_from_independent_bits(independent_bits_estimate(patterns, 6, CFG)),
+            "c0p": joint_dirichlet_estimate(tally, CFG),
+            "c13": joint_from_grouping(g, plain),
+            "c1": joint_from_grouping(g, plain),
+            "c123": joint_from_grouping(g, shared),
+            "c12": joint_from_grouping(g, refined),
+        }
+        for case, joint in want.items():
+            assignment = ("b", "a") if case == "c12" else None
+            got = bit_case_joint(case, patterns, 6, CFG, g, assignment, seed=5)
+            assert bits(got.weights).tolist() == bits(joint.weights).tolist(), case
+
+    @pytest.mark.parametrize(
+        "case, grouping, assignment",
+        (
+            ("c2", None, None),
+            ("c13", None, None),
+            ("c12", GROUPING, None),
+            ("c123", GROUPING, ("a", "b")),
+        ),
+        ids=("unknown_case", "no_grouping", "c12_without_assignment", "assignment_off_c12"),
+    )
+    def test_rejects_missing_or_extra_structure(self, case, grouping, assignment):
+        with pytest.raises(ValueError, match=case):
+            bit_case_joint(case, [0, 63], 6, CFG, grouping, assignment)
 
 
 class TestJointDirichlet:

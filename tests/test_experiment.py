@@ -276,6 +276,17 @@ class TestSpecFieldTypes:
         assert spec.checkpoints == (2, 10) and type(spec.checkpoints[0]) is int
         assert spec.resample_truth is False
 
+    @pytest.mark.parametrize("kind", ("four_urns", "bit_vectors"))
+    def test_rejects_empty_checkpoints(self, kind):
+        with pytest.raises(ValueError, match=r"checkpoints \[\]: must list one or more"):
+            ExperimentSpec(**{**self.BASE, "kind": kind}, checkpoints=())
+
+    def test_null_or_missing_checkpoints_keep_default_grid(self):
+        for payload in (self.BASE, {**self.BASE, "checkpoints": None}):
+            spec = spec_from_jsonable(payload)
+            assert spec.checkpoints is None
+            assert run_four_urns(spec).avg_raw.samples == default_checkpoints(20)
+
 
 class TestBitVectors:
     def test_c0_reaches_floor_on_independent_truth(self):
