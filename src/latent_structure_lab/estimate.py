@@ -12,21 +12,28 @@ can dip when an update trades likelihood against smoothing.
 
 The EM runs on raw float arrays with one row per restart, each row with its
 own counts and stopping iteration. em_two_type runs one dataset's restarts
-side by side; em_two_type_many runs the restarts of many datasets (the
-checkpoints of a four-urns run) in the same loop, in batches of at most
-_EM_BATCH_ROWS rows, and returns each dataset's winning restart as arrays.
-Inputs are validated once, at entry; only em_two_type wraps its winner in
-Categoricals.
+side by side; em_two_type_many runs the rows of many datasets (the
+checkpoints of a run: noisy restarts, or one row refining a given start)
+in the same loop, in batches of at most _EM_BATCH_ROWS rows, and returns
+each dataset's winning row as arrays. Inputs are validated once, at entry;
+only em_two_type wraps its winner in Categoricals.
 
 Per-unit estimates are read out on arrays: mixture_rows mixes (..., K)
 type distributions by (..., N, 2) responsibilities, so a four-urns run
 forms every checkpoint's estimates at once, and per_unit_mixture is its
 one-result case. The raw estimate is prob.dirichlet_mean_rows.
 
-The bit-vector ladder (BIT_CASES) is fitted in one place, bit_case_joint:
+The bit-vector ladder (BIT_CASES) is fitted in one place, fit_bit_case:
 c0 independent bits, c0p one bin per pattern, c13/c1 unrelated smoothed
 groups and c123/c12 the two-type EM over groups, for a known (c13, c123)
-or searched (c1, c12) grouping.
+or searched (c1, c12) grouping. It fits a case at every checkpoint of a
+run at once: checkpoint_counts tallies each segment (a run of checkpoints
+that share one grouping) with one cumulative bincount, and the EM rows of
+all checkpoints share em_two_type_many's batches. The fit stays in
+factored form (bit probabilities or group distributions); BitCaseFit.joints
+expands a few rows at a time to 2**V joints through the row forms of
+prob.joint_from_grouping and prob.joint_from_independent_bits.
+bit_case_joint, which `lsl estimate` calls, is its one-checkpoint case.
 """
 
 from __future__ import annotations
@@ -37,13 +44,16 @@ from typing import Sequence
 import numpy as np
 
 from .prob import (
+    MAX_JOINT_BITS,
+    CapacityError,
     Categorical,
     Grouping,
     TallyVector,
     dirichlet_mean,
+    dirichlet_mean_rows,
     group_outcomes,
-    joint_from_grouping,
-    joint_from_independent_bits,
+    joint_from_grouping_rows,
+    joint_from_independent_bits_rows,
 )
 from .rng import RngState, next_units
 
@@ -221,6 +231,16 @@ def _winner(q, resp, objectives, traces, iterations) -> EmResult:
     )
 
 
+def _checked_init(init_responsibilities, shape: tuple[int, ...]) -> np.ndarray:
+    """init_responsibilities as float64, checked to have `shape` and finite, nonnegative entries."""
+    init = np.asarray(init_responsibilities, dtype=np.float64)
+    if init.shape != shape:
+        raise ValueError(f"init_responsibilities must have shape {shape}")
+    if not np.all(np.isfinite(init)) or np.any(init < 0.0):
+        raise ValueError("init_responsibilities must be finite and nonnegative")
+    return init
+
+
 def em_two_type(
     tallies: Sequence[TallyVector],
     cfg: EstimatorConfig,
@@ -245,40 +265,50 @@ def em_two_type(
         starts = _restart_starts(counts, cfg, [seed])
         counts = np.repeat(counts, cfg.em_restarts, axis=0)
     else:
-        resp = np.asarray(init_responsibilities, dtype=np.float64)
-        if resp.shape != (counts.shape[1], 2):
-            raise ValueError(f"init_responsibilities must have shape ({counts.shape[1]}, 2)")
-        if not np.all(np.isfinite(resp)) or np.any(resp < 0.0):
-            raise ValueError("init_responsibilities must be finite and nonnegative")
+        resp = _checked_init(init_responsibilities, (counts.shape[1], 2))
         starts = _em_m_step(counts, resp[None], cfg.pseudocount)
     return _winner(*_em_batch(counts, starts, cfg))
 
 
 def em_two_type_many(
-    counts: np.ndarray, cfg: EstimatorConfig, seeds: Sequence[int]
+    counts: np.ndarray,
+    cfg: EstimatorConfig,
+    seeds: Sequence[int] | None = None,
+    init_responsibilities: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """em_two_type over each (N, K) count matrix in counts (C, N, K), with seeds[c] for counts[c].
 
     Returns the winners' (C, 2, K) type distributions q (q[c, 0] is q_a)
     and (C, N, 2) responsibilities, equal bit for bit to C em_two_type
     calls from noisy restarts: each dataset keeps the first restart with
-    the largest objective. The restarts of several datasets share one
+    the largest objective. With (C, N, 2) init_responsibilities, dataset c
+    instead refines init_responsibilities[c], as em_two_type does, in one
+    row, and seeds are not used. The rows of several datasets share one
     _em_batch call (at most _EM_BATCH_ROWS rows), each row with its own
     counts and stopping iteration. Inputs are validated here, as
     em_two_type's are.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim != 3 or 0 in counts.shape[1:] or counts.shape[0] != len(seeds):
-        raise ValueError("counts must be (C, N, K) with N, K >= 1 and one seed per dataset")
+    if counts.ndim != 3 or 0 in counts.shape[1:]:
+        raise ValueError("counts must be (C, N, K) with N, K >= 1")
     if not np.all(np.isfinite(counts)) or np.any(counts < 0.0):
         raise ValueError("counts must be finite and nonnegative")
-    restarts = cfg.em_restarts
+    if init_responsibilities is None:
+        if seeds is None or len(seeds) != len(counts):
+            raise ValueError("em_two_type_many needs one seed per dataset")
+        restarts = cfg.em_restarts
+    else:
+        init = _checked_init(init_responsibilities, counts.shape[:2] + (2,))
+        restarts = 1
     per_batch = max(1, _EM_BATCH_ROWS // restarts)
-    q = np.empty((len(seeds), 2, counts.shape[2]))
+    q = np.empty((len(counts), 2, counts.shape[2]))
     resp = np.empty(counts.shape[:2] + (2,))
-    for lo in range(0, len(seeds), per_batch):
+    for lo in range(0, len(counts), per_batch):
         block = counts[lo : lo + per_batch]
-        starts = _restart_starts(block, cfg, seeds[lo : lo + per_batch])
+        if init_responsibilities is None:
+            starts = _restart_starts(block, cfg, seeds[lo : lo + per_batch])
+        else:
+            starts = _em_m_step(block, init[lo : lo + per_batch], cfg.pseudocount)
         block_q, block_resp, objectives, _, _ = _em_batch(np.repeat(block, restarts, axis=0), starts, cfg)
         best = objectives.reshape(len(block), restarts).argmax(axis=1) + restarts * np.arange(len(block))
         q[lo : lo + len(block)], resp[lo : lo + len(block)] = block_q[best], block_resp[best]
@@ -308,10 +338,9 @@ def mixture_rows(
 
 def independent_bits_estimate(patterns: Sequence[int], v: int, cfg: EstimatorConfig) -> np.ndarray:
     """Per-variable Bernoulli posterior means under a Beta(pc, pc) prior,
-    from the V-bit patterns (variable 0 is the most significant bit)."""
-    arr = np.asarray(patterns, dtype=np.int64)
-    ones = ((arr[:, None] >> (v - 1 - np.arange(v))) & 1).sum(axis=0)
-    return (ones + cfg.pseudocount) / (len(arr) + 2.0 * cfg.pseudocount)
+    from the V-bit patterns (variable 0 is the most significant bit): case
+    c0's fit, at one checkpoint."""
+    return fit_bit_case("c0", patterns, [len(patterns)], v, cfg).factors[0]
 
 
 def joint_dirichlet_estimate(joint_tally: TallyVector, cfg: EstimatorConfig) -> Categorical:
@@ -356,6 +385,135 @@ def grouped_known_estimate(
     return per_unit_mixture(result), result
 
 
+def checkpoint_counts(codes: np.ndarray, checkpoints: Sequence[int], k: int) -> np.ndarray:
+    """(C, k) float counts of the codes in [0, k) that the first checkpoints[c]
+    samples hold, for increasing checkpoints; codes is (N,) or (N, M), M
+    codes per sample. One bincount of the codes tagged with their segment
+    (checkpoints[c-1], checkpoints[c]], then a running sum over segments.
+    Integer sums in float64 are exact, so the order of addition is free."""
+    n_cp = len(checkpoints)
+    used = np.asarray(codes, dtype=np.int64)[: checkpoints[-1] if n_cp else 0]
+    segment = np.searchsorted(checkpoints, np.arange(1, len(used) + 1), side="left")
+    tagged = segment.reshape((-1,) + (1,) * (used.ndim - 1)) * k + used
+    per_segment = np.bincount(tagged.ravel(), minlength=n_cp * k)
+    return np.cumsum(per_segment.reshape(n_cp, k), axis=0, dtype=np.float64)
+
+
+def _group_counts(patterns: np.ndarray, checkpoints: np.ndarray, grouping: Grouping) -> np.ndarray:
+    """(C, G, 2**S) group outcome counts of the first checkpoints[c] patterns."""
+    cell = 1 << grouping.s
+    outcomes = group_outcomes(patterns[: checkpoints[-1]], grouping) + cell * np.arange(grouping.g)
+    return checkpoint_counts(outcomes, checkpoints, grouping.g * cell).reshape(-1, grouping.g, cell)
+
+
+@dataclass(frozen=True, eq=False)
+class BitCaseFit:
+    """One ladder case fitted at C checkpoints, kept small until joints() expands it.
+
+    factors[c] is the fit at checkpoints[c]: c0's (V,) bit probabilities, or
+    a grouped case's (G, 2**S) group distributions on the grouping of the
+    segment that holds row c. A segment (first row, end row, grouping) is a
+    run of checkpoints that share one grouping. c0p's fit is its 2**V
+    pattern distribution, as large as its joint, so its factors are None
+    and joints() counts its rows from the patterns.
+    """
+
+    case: str
+    v: int
+    checkpoints: np.ndarray
+    segments: tuple[tuple[int, int, Grouping | None], ...]
+    factors: np.ndarray | None
+    patterns: np.ndarray
+    pseudocount: float
+
+    def chunks(self, rows: int) -> list[tuple[int, int]]:
+        """(lo, hi) row ranges of at most `rows` rows, each within one segment, covering every row."""
+        return [(a, min(a + rows, end)) for start, end, _ in self.segments for a in range(start, end, rows)]
+
+    def joints(self, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo, 2**V) joints at checkpoints[lo:hi], rows of one segment."""
+        if self.case == "c0":
+            return joint_from_independent_bits_rows(self.factors[lo:hi])
+        if self.case == "c0p":
+            counts = checkpoint_counts(self.patterns, self.checkpoints[lo:hi], 1 << self.v)
+            return dirichlet_mean_rows(counts, self.pseudocount)
+        for start, end, grouping in self.segments:
+            if start <= lo and hi <= end:
+                return joint_from_grouping_rows(grouping, self.factors[lo:hi])
+        raise ValueError(f"rows {lo}..{hi - 1} do not lie in one segment")
+
+
+def fit_bit_case(
+    case: str,
+    patterns: Sequence[int],
+    checkpoints: Sequence[int],
+    v: int,
+    cfg: EstimatorConfig,
+    groupings: Sequence[Grouping | None] | None = None,
+    assignments: Sequence[Sequence[str]] | None = None,
+    seeds: Sequence[int] | None = None,
+) -> BitCaseFit:
+    """Fit ladder case `case` (one of BIT_CASES) to the first n V-bit patterns, for each n in checkpoints.
+
+    groupings[c], assignments[c] and seeds[c] serve checkpoints[c]. c0 and
+    c0p ignore the groupings. c13 and c1 smooth each group's tallies on its
+    own; c123 runs the two-type EM over them from noisy restarts seeded by
+    seeds[c], and c12 refines the hard a/b assignments[c] (a searched
+    candidate's labels) instead. Counts come from one cumulative bincount
+    per segment, and the EM rows of all checkpoints share em_two_type_many's
+    batches.
+    """
+    if case not in BIT_CASES:
+        raise ValueError(f"unknown case id {case!r}; valid: {list(BIT_CASES)}")
+    grouped = case not in ("c0", "c0p")
+    if grouped and (
+        groupings is None or None in groupings or (assignments is None) == (case == "c12")
+    ):
+        raise ValueError(f"case {case} needs a grouping, and an assignment exactly when it is c12")
+    if not 1 <= v <= MAX_JOINT_BITS:
+        raise CapacityError(f"v={v}: ladder joints need 1 <= v <= {MAX_JOINT_BITS}")
+    arr = np.asarray(patterns, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError(f"patterns must be a 1-d sequence, got shape {arr.shape}")
+    outside = arr[(arr < 0) | (arr >= 1 << v)]
+    if outside.size:
+        raise ValueError(f"bit pattern {outside[0]} outside [0, 2**{v})")
+    cps = np.asarray(checkpoints, dtype=np.int64)
+    if cps.ndim != 1 or (cps.size and (cps[0] < 0 or cps[-1] > arr.size or (np.diff(cps) <= 0).any())):
+        raise ValueError(f"checkpoints must increase strictly within [0, {arr.size}]")
+    if grouped and len(groupings) != cps.size:
+        raise ValueError(f"need one grouping per checkpoint, got {len(groupings)} for {cps.size}")
+    for grouping in groupings or ():
+        if grouping is not None and grouping.v != v:
+            raise ValueError(f"grouping covers {grouping.v} variables, not v={v}")
+
+    def fit(segments, factors) -> BitCaseFit:
+        return BitCaseFit(case, v, cps, tuple(segments), factors, arr, cfg.pseudocount)
+
+    if cps.size == 0:
+        return fit((), None)
+    if case == "c0p":
+        return fit([(0, cps.size, None)], None)
+    if case == "c0":
+        ones = _group_counts(arr, cps, Grouping.identity(v, 1))[:, :, 1]
+        return fit([(0, cps.size, None)], (ones + cfg.pseudocount) / (cps[:, None] + 2.0 * cfg.pseudocount))
+    segments: list[tuple[int, int, Grouping]] = []
+    for c, grouping in enumerate(groupings):
+        if segments and grouping == segments[-1][2]:
+            segments[-1] = (segments[-1][0], c + 1, grouping)
+        else:
+            segments.append((c, c + 1, grouping))
+    counts = np.concatenate([_group_counts(arr, cps[lo:hi], grouping) for lo, hi, grouping in segments])
+    if case in ("c13", "c1"):
+        return fit(segments, dirichlet_mean_rows(counts, cfg.pseudocount))
+    if case == "c123":
+        q, resp = em_two_type_many(counts, cfg, seeds)
+    else:
+        init = np.stack([assignment_responsibilities(labels) for labels in assignments])
+        q, resp = em_two_type_many(counts, cfg, init_responsibilities=init)
+    return fit(segments, mixture_rows(resp, q[:, 0], q[:, 1]))
+
+
 def bit_case_joint(
     case: str,
     patterns: Sequence[int],
@@ -367,21 +525,10 @@ def bit_case_joint(
 ) -> Categorical:
     """The 2**V joint that ladder case `case` (one of BIT_CASES) fits to the V-bit patterns.
 
-    c0 and c0p ignore the grouping. c13 and c1 fit the grouping's groups as
-    unrelated smoothed tallies; c123 runs the two-type EM over them from
-    noisy restarts seeded by `seed`, and c12 refines the hard a/b
-    `assignment` (a searched candidate's labels) instead.
+    The one-checkpoint case of fit_bit_case: c0 and c0p ignore the grouping,
+    c123 seeds its restarts with `seed`, and c12 refines the hard a/b
+    `assignment`.
     """
-    if case not in BIT_CASES:
-        raise ValueError(f"unknown case id {case!r}; valid: {list(BIT_CASES)}")
-    if case == "c0":
-        return joint_from_independent_bits(independent_bits_estimate(patterns, v, cfg))
-    if case == "c0p":
-        tally = TallyVector(np.bincount(np.asarray(patterns, dtype=np.int64), minlength=1 << v))
-        return joint_dirichlet_estimate(tally, cfg)
-    if grouping is None or (assignment is None) == (case == "c12"):
-        raise ValueError(f"case {case} needs a grouping, and an assignment exactly when it is c12")
-    dists, _ = grouped_known_estimate(
-        grouping, patterns, cfg, case in ("c123", "c12"), seed=seed, init_assignment=assignment
-    )
-    return joint_from_grouping(grouping, dists)
+    assignments = None if assignment is None else [assignment]
+    fit = fit_bit_case(case, patterns, [len(patterns)], v, cfg, [grouping], assignments, [seed])
+    return Categorical(fit.joints(0, 1)[0])

@@ -20,7 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimate import BIT_CASES, EstimatorConfig, bit_case_joint, em_two_type_many, mixture_rows
+from .estimate import (
+    BIT_CASES,
+    EstimatorConfig,
+    checkpoint_counts,
+    em_two_type_many,
+    fit_bit_case,
+    mixture_rows,
+)
 from .prob import dirichlet_mean_rows, joint_from_independent_bits, kl_divergence, kl_divergence_rows
 from .rng import RngState, derive_seed
 from .search import Candidate, SearchConfig, candidate_count, search
@@ -223,17 +230,6 @@ def _per_urn_curves(label: str, grid, per_urn_kls) -> KlCurve:
     return KlCurve(label=label, points=tuple(zip(grid, totals)), per_unit=subs)
 
 
-def _checkpoint_counts(samples: np.ndarray, grid: Sequence[int], n_urns: int, k: int) -> np.ndarray:
-    """(C, urns, colors) tallies of the first grid[c] samples: one bincount of
-    the samples tagged with their segment (grid[c-1], grid[c]], then a
-    running sum over segments."""
-    segment = np.searchsorted(grid, np.arange(1, len(samples) + 1), side="left")
-    cells = n_urns * k
-    flat = segment * cells + samples[:, 0] * k + samples[:, 1]
-    per_segment = np.bincount(flat, minlength=(len(grid) + 1) * cells)[: len(grid) * cells]
-    return np.cumsum(per_segment.reshape(len(grid), n_urns, k), axis=0).astype(np.float64)
-
-
 def _four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrnsRun:
     run_seed = derive_seed(spec.base_seed, run_index)
     truth = build_urn_truth(spec.urn_config, _truth_seed(spec, run_seed))
@@ -241,7 +237,8 @@ def _four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrnsRun:
     n_urns = truth.n_urns
     grid = _curve_checkpoints(spec) or ((0,) if spec.n_samples == 0 else ())
     truths = [truth.urn_dist(i) for i in range(n_urns)]
-    counts = _checkpoint_counts(samples, grid, n_urns, truth.n_colors)
+    k = truth.n_colors
+    counts = checkpoint_counts(samples[:, 0] * k + samples[:, 1], grid, n_urns * k).reshape(-1, n_urns, k)
     seeds = [derive_seed(run_seed, 1000 + c) for c in range(len(grid))]
     q, resp = em_two_type_many(counts, spec.estimator, seeds)
     q_a, q_b = q[:, 0], q[:, 1]
@@ -342,19 +339,32 @@ def _search_config(spec: ExperimentSpec, mode: str) -> SearchConfig:
     )
 
 
-class _SearchCase:
-    """Tracks the current best candidate for one search-based case."""
+def _searched_candidates(spec: ExperimentSpec, case: str, patterns: np.ndarray, grid) -> list[Candidate]:
+    """The candidate that search case c1 or c12 uses at each checkpoint.
 
-    def __init__(self, spec: ExperimentSpec, mode: str):
-        self.cfg = _search_config(spec, mode)
-        cps = spec.search.checkpoints
-        self.search_at = set(cps) if cps is not None else None
-        self.best: Candidate | None = None
+    It searches at spec.search.checkpoints (default: every checkpoint), and
+    at the first checkpoint, which has no candidate yet otherwise.
+    """
+    cfg = _search_config(spec, "case1" if case == "c1" else "case12")
+    search_at = spec.search.checkpoints
+    found: list[Candidate] = []
+    for n in grid:
+        if search_at is None or n in search_at or not found:
+            found.append(search(patterns[:n], cfg)[0].candidate)
+        else:
+            found.append(found[-1])
+    return found
 
-    def candidate(self, patterns: np.ndarray, n: int) -> Candidate:
-        if self.search_at is None or n in self.search_at or self.best is None:
-            self.best = search(patterns[:n], self.cfg)[0].candidate
-        return self.best
+
+# Checkpoints whose 2**V joints are built and scored at once. On the seed-1
+# bits_ladder_v12 spec (V=12, 140 checkpoints; 2 cores, Python 3.11, numpy
+# 2.4) the in-process run took about the same time from 2 rows up, while
+# the peak traced allocation of run_bitvectors grew with the rows held:
+# 0.40 MiB at 2, 0.58 at 4, 0.96 at 8 and 3.2 at 32, against 0.26 when each
+# checkpoint was fitted on its own. At 4 rows the benchmark's peak RSS went
+# from 38.6 to 39.2 MiB (+1.7%). TestBitVectorsMemory holds the traced peak
+# under 1 MiB.
+_JOINT_ROWS = 4
 
 
 def _bitvectors_single_run(spec: ExperimentSpec, run_index: int) -> BitVectorsRun:
@@ -363,23 +373,21 @@ def _bitvectors_single_run(spec: ExperimentSpec, run_index: int) -> BitVectorsRu
     patterns, _ = draw_bitvectors(truth, RngState(derive_seed(run_seed, 2)), spec.n_samples)
     joint = true_joint(truth)
     grid = _curve_checkpoints(spec)
-    searchers = {
-        case: _SearchCase(spec, "case1" if case == "c1" else "case12")
-        for case in spec.cases
-        if case in ("c1", "c12")
-    }
-    rows: dict[str, list[tuple[int, float]]] = {case: [] for case in spec.cases}
-    for cp_index, n in enumerate(grid):
-        for case in spec.cases:
-            seed = derive_seed(run_seed, 1000 + cp_index * len(BIT_CASES) + BIT_CASES.index(case))
-            found = searchers[case].candidate(patterns, n) if case in searchers else None
-            grouping, assignment = (
-                (found.grouping, found.assignment) if found else (truth.hidden_grouping, None)
-            )
-            est = bit_case_joint(case, patterns[:n], truth.v, spec.estimator, grouping, assignment, seed)
-            rows[case].append((n, kl_divergence(joint, est)))
-
-    curves = {case: KlCurve(label=case, points=tuple(rows[case])) for case in spec.cases}
+    curves = {}
+    for case in spec.cases:
+        groupings, assignments = [truth.hidden_grouping] * len(grid), None
+        if case in ("c1", "c12"):
+            found = _searched_candidates(spec, case, patterns, grid)
+            groupings = [candidate.grouping for candidate in found]
+            assignments = [candidate.assignment for candidate in found] if case == "c12" else None
+        seeds = [
+            derive_seed(run_seed, 1000 + c * len(BIT_CASES) + BIT_CASES.index(case)) for c in range(len(grid))
+        ]
+        fit = fit_bit_case(case, patterns, grid, truth.v, spec.estimator, groupings, assignments, seeds)
+        kls: list[float] = []
+        for lo, hi in fit.chunks(_JOINT_ROWS):
+            kls.extend(kl_divergence_rows(joint, fit.joints(lo, hi)).tolist())
+        curves[case] = KlCurve(label=case, points=tuple(zip(grid, kls)))
     return BitVectorsRun(truth=truth, curves=curves)
 
 

@@ -191,14 +191,16 @@ def _kl_rows(pw: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Each row takes one np.dot of contiguous vectors, so it rounds as a lone
     vector pair would (a matrix-vector product rounds differently). A zero
-    of q on the support gives log(0) = -inf and so a dot of +inf.
+    of q on the support gives log(0) = -inf and so a dot of +inf. The log
+    difference is formed in place, in one (rows, K) temporary.
     """
     mask = pw > 0.0
     qw = q.reshape(-1, q.shape[-1])
     if not mask.all():
         pw, qw = pw[mask], qw[:, mask]
     with np.errstate(divide="ignore"):
-        diff = np.log(pw) - np.log(np.ascontiguousarray(qw))
+        diff = np.log(np.ascontiguousarray(qw))
+        np.subtract(np.log(pw), diff, out=diff)
     return np.array([np.dot(pw, row) for row in diff]).reshape(q.shape[:-1])
 
 
@@ -221,18 +223,24 @@ def _check_joint_capacity(v: int) -> None:
 
 
 def joint_from_independent_bits(bit_probs: Sequence[float]) -> Categorical:
-    """Joint over 2**V patterns for V independent bits (variable 0 = MSB)."""
-    probs = [float(p) for p in bit_probs]
-    v = len(probs)
-    if v < 1:
+    """Joint over 2**V patterns for V independent bits (variable 0 = MSB).
+
+    The one-row case of joint_from_independent_bits_rows."""
+    probs = np.asarray(bit_probs, dtype=np.float64)
+    return Categorical(joint_from_independent_bits_rows(probs[None])[0])
+
+
+def joint_from_independent_bits_rows(bit_probs: np.ndarray) -> np.ndarray:
+    """(C, 2**V) joints of the V independent bits in each row of (C, V)
+    probabilities: the left-to-right outer product of the (1 - p, p) pairs."""
+    probs = np.asarray(bit_probs, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[1] < 1:
         raise ValueError("need at least one bit probability")
-    _check_joint_capacity(v)
-    if any(p < 0.0 or p > 1.0 for p in probs):
+    _check_joint_capacity(probs.shape[1])
+    if ((probs < 0.0) | (probs > 1.0)).any():
         raise ValueError("bit probabilities must lie in [0, 1]")
-    joint = np.ones(1)
-    for p in probs:
-        joint = np.multiply.outer(joint, (1.0 - p, p)).ravel()
-    return Categorical(joint)
+    pairs = np.stack((1.0 - probs, probs), axis=2)
+    return joint_from_grouping_rows(Grouping.identity(probs.shape[1], 1), pairs)
 
 
 def group_outcomes(patterns, grouping: Grouping) -> np.ndarray:
@@ -254,6 +262,21 @@ def group_outcomes(patterns, grouping: Grouping) -> np.ndarray:
 def joint_from_grouping(grouping: Grouping, group_dists: Sequence[Categorical]) -> Categorical:
     """Joint over 2**V implied by per-group distributions on a grouping.
 
+    The one-row case of joint_from_grouping_rows.
+    """
+    if len(group_dists) != grouping.g:
+        raise ValueError(f"expected {grouping.g} group distributions, got {len(group_dists)}")
+    cell = 1 << grouping.s
+    for dist in group_dists:
+        if dist.k != cell:
+            raise ValueError(f"group distributions must have {cell} outcomes")
+    weights = np.stack([dist.weights for dist in group_dists])
+    return Categorical(joint_from_grouping_rows(grouping, weights[None])[0])
+
+
+def joint_from_grouping_rows(grouping: Grouping, group_dists: np.ndarray) -> np.ndarray:
+    """(C, 2**V) joints implied by (C, G, 2**S) per-group distributions on a grouping.
+
     The groups are multiplied in from left to right, as a per-pattern
     product over the groups would take them, so each weight is the same
     float; the product is indexed in slot order and its bit axes are then
@@ -261,17 +284,16 @@ def joint_from_grouping(grouping: Grouping, group_dists: Sequence[Categorical]) 
     """
     v = grouping.v
     _check_joint_capacity(v)
-    if len(group_dists) != grouping.g:
-        raise ValueError(f"expected {grouping.g} group distributions, got {len(group_dists)}")
-    cell = 1 << grouping.s
-    for dist in group_dists:
-        if dist.k != cell:
-            raise ValueError(f"group distributions must have {cell} outcomes")
-    joint = np.ones(1)
-    for dist in group_dists:
-        joint = np.multiply.outer(joint, dist.weights).ravel()
+    dists = np.asarray(group_dists, dtype=np.float64)
+    if dists.ndim != 3 or dists.shape[1:] != (grouping.g, 1 << grouping.s):
+        raise ValueError(f"group distributions must have shape (C, {grouping.g}, {1 << grouping.s})")
+    rows, cell = len(dists), dists.shape[2]
+    joint = np.ones((rows, 1))
+    for j in range(grouping.g):
+        joint = (joint[:, :, None] * dists[:, j, None, :]).reshape(rows, joint.shape[1] * cell)
     order = [var for grp in grouping.slots for var in grp]
-    return Categorical(joint.reshape((2,) * v).transpose(np.argsort(order)).ravel())
+    axes = (0, *(1 + np.argsort(order)))
+    return joint.reshape((rows,) + (2,) * v).transpose(axes).reshape(rows, 1 << v)
 
 
 def total_variation(p: Categorical, q: Categorical) -> float:

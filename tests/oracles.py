@@ -8,6 +8,9 @@ so tests can check the fast paths against an independent implementation.
 a time, fits each checkpoint with its own em_two_type call and reads it
 out through the scalar `oracle_dirichlet_mean`, `oracle_per_unit_mixture`
 and `oracle_kl_divergence`, one Categorical per urn.
+`oracle_bitvectors_single_run` fits every ladder case at every checkpoint
+on its own, through the object-level estimators, and builds each joint by
+a per-pattern gather (`oracle_joint_from_grouping`).
 """
 
 from __future__ import annotations
@@ -17,12 +20,22 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from latent_structure_lab.estimate import EmResult, em_two_type
+from latent_structure_lab.estimate import (
+    BIT_CASES,
+    EmResult,
+    EstimatorConfig,
+    em_two_type,
+    grouped_known_estimate,
+    joint_dirichlet_estimate,
+)
 from latent_structure_lab.experiment import (
+    BitVectorsRun,
     ExperimentSpec,
     FourUrnsRun,
+    KlCurve,
     _curve_checkpoints,
     _per_urn_curves,
+    _search_config,
     _truth_seed,
 )
 from latent_structure_lab.prob import (
@@ -40,9 +53,16 @@ from latent_structure_lab.search import (
     _per_pattern,
     _pin_positions,
     candidate_count,
+    search,
     unrank_candidate,
 )
-from latent_structure_lab.simulate import build_urn_truth, draw_urn_sample
+from latent_structure_lab.simulate import (
+    build_bitvector_truth,
+    build_urn_truth,
+    draw_bitvector,
+    draw_urn_sample,
+    true_joint,
+)
 
 
 def oracle_kl_divergence(p: Categorical, q: Categorical) -> float:
@@ -413,3 +433,72 @@ def oracle_four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrn
         ours_hard=_per_urn_curves("ours_hard", grid, hard_rows) if spec.emit_hard_readout else None,
         urn1_samples=tuple(urn1_samples),
     )
+
+
+# ---------------------------------------------------------------------------
+# Bit-vector ladder, one case and one checkpoint at a time
+# ---------------------------------------------------------------------------
+
+
+def oracle_joint_from_grouping(grouping: Grouping, group_dists: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-pattern gather: each group's weight at its outcome, multiplied in group order."""
+    outcomes = group_outcomes(np.arange(1 << grouping.v, dtype=np.int64), grouping)
+    joint = np.ones(1 << grouping.v)
+    for j, weights in enumerate(group_dists):
+        joint *= weights[outcomes[:, j]]
+    return joint
+
+
+def oracle_bit_case_joint(
+    case: str,
+    patterns: Sequence[int],
+    v: int,
+    cfg: EstimatorConfig,
+    grouping: Grouping,
+    assignment: Sequence[str] | None,
+    seed: int,
+) -> Categorical:
+    """Ladder case `case` fitted to the patterns through the object-level estimators."""
+    arr = np.asarray(patterns, dtype=np.int64)
+    if case == "c0":
+        ones = ((arr[:, None] >> (v - 1 - np.arange(v))) & 1).sum(axis=0)
+        probs = (ones + cfg.pseudocount) / (len(arr) + 2.0 * cfg.pseudocount)
+        pairs = [np.array([1.0 - p, p]) for p in probs]
+        return Categorical(oracle_joint_from_grouping(Grouping.identity(v, 1), pairs))
+    if case == "c0p":
+        return joint_dirichlet_estimate(TallyVector(np.bincount(arr, minlength=1 << v)), cfg)
+    share = case in ("c123", "c12")
+    dists, _ = grouped_known_estimate(grouping, arr, cfg, share, seed=seed, init_assignment=assignment)
+    return Categorical(oracle_joint_from_grouping(grouping, [d.weights for d in dists]))
+
+
+def oracle_bitvectors_single_run(spec: ExperimentSpec, run_index: int) -> BitVectorsRun:
+    """The checkpoint-at-a-time bit-vector run: scalar draws, and at each
+    checkpoint each case searched (c1, c12, where due) and fitted on its own
+    and scored by the scalar KL."""
+    run_seed = derive_seed(spec.base_seed, run_index)
+    truth = build_bitvector_truth(spec.bits_config, _truth_seed(spec, run_seed))
+    rng = RngState(derive_seed(run_seed, 2))
+    patterns = []
+    for _ in range(spec.n_samples):
+        pattern, rng = draw_bitvector(truth, rng)
+        patterns.append(pattern)
+    joint = true_joint(truth)
+    search_at = spec.search.checkpoints
+    best: dict[str, Candidate] = {}
+    rows: dict[str, list[tuple[int, float]]] = {case: [] for case in spec.cases}
+    for cp_index, n in enumerate(_curve_checkpoints(spec)):
+        for case in spec.cases:
+            seed = derive_seed(run_seed, 1000 + cp_index * len(BIT_CASES) + BIT_CASES.index(case))
+            grouping, assignment = truth.hidden_grouping, None
+            if case in ("c1", "c12"):
+                if search_at is None or n in search_at or case not in best:
+                    cfg = _search_config(spec, "case1" if case == "c1" else "case12")
+                    best[case] = search(patterns[:n], cfg)[0].candidate
+                grouping, assignment = best[case].grouping, best[case].assignment
+            est = oracle_bit_case_joint(
+                case, patterns[:n], truth.v, spec.estimator, grouping, assignment, seed
+            )
+            rows[case].append((n, oracle_kl_divergence(joint, est)))
+    curves = {case: KlCurve(label=case, points=tuple(rows[case])) for case in spec.cases}
+    return BitVectorsRun(truth=truth, curves=curves)

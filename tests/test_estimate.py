@@ -11,6 +11,7 @@ from latent_structure_lab.estimate import (
     bit_case_joint,
     em_two_type,
     em_two_type_many,
+    fit_bit_case,
     group_tallies,
     grouped_known_estimate,
     independent_bits_estimate,
@@ -370,6 +371,24 @@ class TestEmManyMatchesSingleCalls:
             tallies = [TallyVector(row) for row in counts[c]]
             assert_winners_equal(q[c], resp[c], em_two_type(tallies, cfg, seeds[c]))
 
+    @pytest.mark.parametrize("max_iters", (1, 2, 500))
+    def test_init_responsibilities_crossing_batches(self, max_iters):
+        rng = np.random.default_rng(31 + max_iters)
+        n_sets = estimate_module._EM_BATCH_ROWS + 7
+        counts = rng.integers(0, 30, size=(n_sets, 4, 8)).astype(float)
+        init = rng.random((n_sets, 4, 2))
+        init[::3] = assignment_responsibilities(("a", "b", "b", "a"))
+        cfg = EstimatorConfig(em_max_iters=max_iters)
+        q, resp = em_two_type_many(counts, cfg, init_responsibilities=init)
+        for c in range(n_sets):
+            tallies = [TallyVector(row) for row in counts[c]]
+            assert_winners_equal(q[c], resp[c], em_two_type(tallies, cfg, 0, init_responsibilities=init[c]))
+
+    @pytest.mark.parametrize("init", (np.ones((2, 4, 3)), np.ones((1, 4, 2)), -np.ones((2, 4, 2))))
+    def test_rejects_bad_init_responsibilities(self, init):
+        with pytest.raises(ValueError, match="init_responsibilities"):
+            em_two_type_many(np.ones((2, 4, 8)), CFG, init_responsibilities=init)
+
     def test_row_cap_does_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 60, size=(23, 5, 4)).astype(float)
@@ -512,6 +531,71 @@ class TestBitCaseJoint:
     def test_rejects_missing_or_extra_structure(self, case, grouping, assignment):
         with pytest.raises(ValueError, match=case):
             bit_case_joint(case, [0, 63], 6, CFG, grouping, assignment)
+
+
+class TestBitPatternValidation:
+    """Patterns outside [0, 2**V) and groupings of another width are refused by name."""
+
+    GROUPING = Grouping(((0, 1, 2), (3, 4, 5)))
+
+    def test_c0p_rejects_pattern_too_wide(self):
+        with pytest.raises(ValueError, match=r"bit pattern 7 outside \[0, 2\*\*2\)"):
+            bit_case_joint("c0p", [0, 7, 3], 2, CFG)
+
+    def test_c0_rejects_high_bits(self):
+        with pytest.raises(ValueError, match="bit pattern 64 outside"):
+            bit_case_joint("c0", [1, 64], 6, CFG)
+
+    def test_c13_rejects_negative_pattern(self):
+        with pytest.raises(ValueError, match="bit pattern -1 outside"):
+            bit_case_joint("c13", [3, -1], 6, CFG, self.GROUPING)
+
+    def test_rejects_grouping_of_other_width(self):
+        with pytest.raises(ValueError, match="grouping covers 6 variables, not v=9"):
+            bit_case_joint("c123", [0, 511], 9, CFG, self.GROUPING)
+
+    def test_batched_form_checks_every_pattern_and_grouping(self):
+        groupings = [self.GROUPING, Grouping.identity(9, 3)]
+        with pytest.raises(ValueError, match="bit pattern 99 outside"):
+            fit_bit_case("c1", [0, 1, 99], [2, 3], 6, CFG, groupings[:1] * 2)
+        with pytest.raises(ValueError, match="grouping covers 9 variables, not v=6"):
+            fit_bit_case("c1", [0, 1, 2], [2, 3], 6, CFG, groupings)
+        with pytest.raises(ValueError, match="one grouping per checkpoint, got 1 for 2"):
+            fit_bit_case("c1", [0, 1, 2], [2, 3], 6, CFG, groupings[:1])
+
+
+class TestFitBitCase:
+    """Each checkpoint's row of the batched fit is the one-checkpoint fit of its prefix."""
+
+    GROUPINGS = (Grouping(((0, 3, 4), (5, 1, 2))), Grouping(((2, 1, 0), (3, 4, 5))))
+
+    @pytest.mark.parametrize("case", ("c0", "c0p", "c13", "c123", "c1", "c12"))
+    def test_rows_equal_one_checkpoint_fits(self, case):
+        truth = build_bitvector_truth(BitsConfig(v=6, g=2, s=3), 3)
+        patterns = draw_patterns(truth, 9, 40)
+        checkpoints = [0, 1, 5, 6, 7, 8, 9, 20, 40]
+        groupings = [self.GROUPINGS[c >= 4] for c in range(len(checkpoints))]
+        assignments = [("a", "b") if c % 2 else ("b", "b") for c in range(len(checkpoints))]
+        seeds = list(range(100, 100 + len(checkpoints)))
+        fit = fit_bit_case(
+            case, patterns, checkpoints, 6, CFG, groupings, assignments if case == "c12" else None, seeds
+        )
+        chunks = fit.chunks(3)
+        assert [lo for lo, _ in chunks] == ([0, 3, 6] if case in ("c0", "c0p") else [0, 3, 4, 7])
+        rows = np.concatenate([fit.joints(lo, hi) for lo, hi in chunks])
+        for c, n in enumerate(checkpoints):
+            assignment = assignments[c] if case == "c12" else None
+            want = bit_case_joint(case, patterns[:n], 6, CFG, groupings[c], assignment, seeds[c])
+            np.testing.assert_array_equal(bits(rows[c]), bits(want.weights))
+
+    def test_no_checkpoints(self):
+        fit = fit_bit_case("c123", [1, 2], [], 6, CFG, [], None, [])
+        assert fit.chunks(4) == []
+
+    @pytest.mark.parametrize("checkpoints", ([2, 2], [3, 1], [-1], [4]))
+    def test_rejects_bad_checkpoints(self, checkpoints):
+        with pytest.raises(ValueError, match="checkpoints"):
+            fit_bit_case("c0", [1, 2, 3], checkpoints, 6, CFG)
 
 
 class TestJointDirichlet:

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,8 @@ from latent_structure_lab.experiment import (
     _truth_seed,
 )
 from latent_structure_lab import estimate as estimate_module
-from latent_structure_lab.estimate import EstimatorConfig
+from latent_structure_lab import experiment as experiment_module
+from latent_structure_lab.estimate import BIT_CASES, EstimatorConfig
 from latent_structure_lab.pipeline import run_experiment
 from latent_structure_lab.prob import kl_divergence, Categorical, TallyVector
 from latent_structure_lab.rng import derive_seed
@@ -35,7 +38,10 @@ from latent_structure_lab.simulate import (
     build_bitvector_truth,
     build_urn_truth,
 )
-from oracles import oracle_four_urns_single_run
+from oracles import oracle_bitvectors_single_run, oracle_four_urns_single_run
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import workloads  # noqa: E402
 
 
 class TestKlCurve:
@@ -404,6 +410,94 @@ class TestBitVectors:
             bits_config=BitsConfig(v=6, g=2, s=3),
         )
         check_search_cost(small, allow_expensive=False)
+
+
+class TestBitVectorsMatchOracle:
+    """The batched ladder equals one fit per (case, checkpoint) bit for bit,
+    across segments, joint chunks and EM batches."""
+
+    SMALL = BitsConfig(v=6, g=2, s=3)
+    CASES = {
+        # 102 checkpoints, c1 and c12 searched at each: many 4-row chunks,
+        # c123 EM batches of 16 checkpoints and c12 EM batches of 80 rows.
+        "all_cases": dict(n_samples=120, cases=BIT_CASES),
+        # Segments cut at 1 (no candidate yet), 30 and 90; the last
+        # checkpoint is not n_samples.
+        "sparse_tail": dict(
+            n_samples=100,
+            cases=BIT_CASES,
+            checkpoints=(1, 2, 3, 7, 30, 31, 32, 33, 34, 90),
+            search=SearchSettings(checkpoints=(30, 90)),
+        ),
+        "search_fallback": dict(
+            n_samples=100, cases=("c1", "c12", "c0p"), search=SearchSettings(checkpoints=(50, 100))
+        ),
+        "short_em": dict(
+            n_samples=60, cases=("c123", "c12"), estimator=EstimatorConfig(em_max_iters=2, em_restarts=3)
+        ),
+    }
+
+    @staticmethod
+    def assert_runs_equal(spec):
+        for run_index in range(spec.n_runs):
+            got = _bitvectors_single_run(spec, run_index)
+            want = oracle_bitvectors_single_run(spec, run_index)
+            assert list(got.curves) == list(spec.cases)
+            for case in spec.cases:
+                assert curve_bits(got.curves[case]) == curve_bits(want.curves[case]), case
+
+    def test_all_cases_grid_crosses_chunks_and_em_batches(self):
+        n_checkpoints = len(default_checkpoints(self.CASES["all_cases"]["n_samples"]))
+        assert n_checkpoints > estimate_module._EM_BATCH_ROWS
+        assert n_checkpoints > estimate_module._EM_BATCH_ROWS // EstimatorConfig().em_restarts
+        assert n_checkpoints > experiment_module._JOINT_ROWS
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_runs_equal_oracle(self, case):
+        spec = ExperimentSpec(
+            kind="bit_vectors", n_runs=2, base_seed=606, bits_config=self.SMALL, **self.CASES[case]
+        )
+        self.assert_runs_equal(spec)
+
+    @pytest.mark.parametrize("workload", ("bits_ladder_v12", "c12_many_small"))
+    def test_benchmark_specs_equal_oracle(self, workload):
+        self.assert_runs_equal(spec_from_jsonable(workloads.experiment_spec(workload, workloads.GOLDEN_SEED)))
+
+    def test_first_checkpoint_search_fallback(self, monkeypatch):
+        searched = []
+        real_search = experiment_module.search
+
+        def counting_search(patterns, cfg):
+            searched.append(len(patterns))
+            return real_search(patterns, cfg)
+
+        monkeypatch.setattr(experiment_module, "search", counting_search)
+        spec = ExperimentSpec(
+            kind="bit_vectors",
+            n_samples=100,
+            n_runs=1,
+            base_seed=606,
+            cases=("c1",),
+            bits_config=self.SMALL,
+            search=SearchSettings(checkpoints=(50, 100)),
+        )
+        run_bitvectors(spec)
+        assert searched == [1, 50, 100]
+
+
+class TestBitVectorsMemory:
+    def test_ladder_peak_traced_allocation(self):
+        """The 2**V joints are built a few checkpoints at a time. A warm-up run
+        first builds the process-wide search tables, which are not per run."""
+        spec = spec_from_jsonable(workloads.experiment_spec("bits_ladder_v12", workloads.GOLDEN_SEED))
+        run_bitvectors(spec)
+        tracemalloc.start()
+        try:
+            run_bitvectors(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestIndependentBitsFloor:

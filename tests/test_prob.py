@@ -11,13 +11,20 @@ from latent_structure_lab.prob import (
     dirichlet_mean,
     group_outcomes,
     joint_from_grouping,
+    joint_from_grouping_rows,
     joint_from_independent_bits,
+    joint_from_independent_bits_rows,
     dirichlet_mean_rows,
     kl_divergence,
     kl_divergence_rows,
     total_variation,
 )
-from oracles import log_likelihood, oracle_dirichlet_mean, oracle_kl_divergence
+from oracles import (
+    log_likelihood,
+    oracle_dirichlet_mean,
+    oracle_joint_from_grouping,
+    oracle_kl_divergence,
+)
 
 
 def random_categorical(rng, k):
@@ -245,6 +252,17 @@ class TestJointFromIndependentBits:
         with pytest.raises(CapacityError):
             joint_from_independent_bits([0.5] * 21)
 
+    def test_rows_equal_kron_oracle(self):
+        probs = np.random.default_rng(8).uniform(size=(5, 7))
+        got = joint_from_independent_bits_rows(probs)
+        for row, bits in zip(got, probs):
+            want = np.ones(1)
+            for p in bits:
+                want = np.kron(want, np.array([1.0 - p, p]))
+            np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            joint_from_independent_bits_rows(probs + 1.0)
+
     @pytest.mark.parametrize("v", range(1, 13))
     def test_bits_equal_kron_oracle(self, v):
         rng = np.random.default_rng(v)
@@ -256,15 +274,6 @@ class TestJointFromIndependentBits:
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def oracle_joint_from_grouping(grouping, group_dists):
-    """Per-pattern gather: each group's weight at its outcome, multiplied in group order."""
-    outcomes = group_outcomes(np.arange(1 << grouping.v, dtype=np.int64), grouping)
-    joint = np.ones(1 << grouping.v)
-    for j, dist in enumerate(group_dists):
-        joint *= dist.weights[outcomes[:, j]]
-    return joint
-
-
 class TestJointFromGrouping:
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 6])
     def test_equals_gather_oracle_bit_for_bit(self, s):
@@ -274,8 +283,22 @@ class TestJointFromGrouping:
                 g = Grouping(tuple(map(tuple, rng.permutation(v).reshape(v // s, s))))
                 dists = [random_categorical(rng, 1 << s) for _ in range(v // s)]
                 got = joint_from_grouping(g, dists).weights
-                want = oracle_joint_from_grouping(g, dists)
+                want = oracle_joint_from_grouping(g, [d.weights for d in dists])
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_rows_equal_gather_oracle(self):
+        rng = np.random.default_rng(3)
+        g = Grouping(((4, 0, 2), (5, 3, 1)))
+        dists = rng.exponential(size=(7, 2, 8))
+        dists /= dists.sum(axis=2, keepdims=True)
+        got = joint_from_grouping_rows(g, dists)
+        assert got.shape == (7, 64)
+        for row, weights in zip(got, dists):
+            want = oracle_joint_from_grouping(g, weights)
+            np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
+        assert joint_from_grouping_rows(g, dists[:0]).shape == (0, 64)
+        with pytest.raises(ValueError, match=r"shape \(C, 2, 8\)"):
+            joint_from_grouping_rows(g, dists[:, :, :4])
 
     def test_rejects_mismatched_distributions(self):
         g = Grouping(((0, 1), (2, 3)))
