@@ -52,6 +52,7 @@ from .search import (
     Candidate,
     ScoredCandidate,
     SearchConfig,
+    SearchSession,
     candidate_count,
     estimate_from_candidate,
     in_truth_orbit,

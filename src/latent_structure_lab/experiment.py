@@ -30,7 +30,7 @@ from .estimate import (
 )
 from .prob import dirichlet_mean_rows, joint_from_independent_bits, kl_divergence, kl_divergence_rows
 from .rng import RngState, derive_seed
-from .search import Candidate, SearchConfig, candidate_count, search
+from .search import Candidate, SearchConfig, SearchSession, candidate_count, search
 from .simulate import (
     BitsConfig,
     BitVectorTruth,
@@ -343,14 +343,17 @@ def _searched_candidates(spec: ExperimentSpec, case: str, patterns: np.ndarray, 
     """The candidate that search case c1 or c12 uses at each checkpoint.
 
     It searches at spec.search.checkpoints (default: every checkpoint), and
-    at the first checkpoint, which has no candidate yet otherwise.
+    at the first checkpoint, which has no candidate yet otherwise. The
+    searches share one session, so each tallies only the patterns drawn
+    since the one before.
     """
     cfg = _search_config(spec, "case1" if case == "c1" else "case12")
     search_at = spec.search.checkpoints
+    session = SearchSession()
     found: list[Candidate] = []
     for n in grid:
         if search_at is None or n in search_at or not found:
-            found.append(search(patterns[:n], cfg)[0].candidate)
+            found.append(search(patterns[:n], cfg, session)[0].candidate)
         else:
             found.append(found[-1])
     return found

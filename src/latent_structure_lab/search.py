@@ -187,12 +187,39 @@ def unrank_candidate(cfg: SearchConfig, rank: int) -> Candidate:
 # ---------------------------------------------------------------------------
 
 
-def _lgamma_table(top: int) -> np.ndarray:
-    out = np.empty(top + 1)
-    out[0] = math.inf
-    for m in range(1, top + 1):
-        out[m] = math.lgamma(m)
-    return out
+def _lgamma_table(top: int, known: np.ndarray) -> np.ndarray:
+    """`known` (lgamma(m) for m below its length, lgamma(0) taken as inf) extended to m = top."""
+    if len(known) > top:
+        return known
+    return np.concatenate((known, [math.lgamma(m) for m in range(len(known), top + 1)]))
+
+
+# Tuple codes formed at once while tallying: (tuples in a block) x patterns.
+# A block's codes and one gathered bit row take 128 KiB each.
+_TALLY_BLOCK = 1 << 14
+
+
+def _tuple_tally(patterns: np.ndarray, tuple_vars: np.ndarray, v: int) -> np.ndarray:
+    """(tuples, 2**S) counts of each S-tuple's outcome over the patterns.
+
+    A tuple's outcome reads its variables' bits, the first one highest. The
+    tuples are tallied a block at a time, with one bincount of
+    (tuple, outcome) codes per block.
+    """
+    n_tuples, s = tuple_vars.shape
+    cell = 1 << s
+    bits = (patterns[None, :] >> (v - 1 - np.arange(v))[:, None]) & 1
+    step = max(1, _TALLY_BLOCK // max(1, len(patterns)))
+    tally = np.empty((n_tuples, cell), dtype=np.int64)
+    for lo in range(0, n_tuples, step):
+        block = tuple_vars[lo : lo + step]
+        codes = bits[block[:, 0]]
+        for k in range(1, s):
+            codes <<= 1
+            codes |= bits[block[:, k]]
+        codes += (np.arange(len(block)) * cell)[:, None]
+        tally[lo : lo + len(block)] = np.bincount(codes.ravel(), minlength=len(block) * cell).reshape(-1, cell)
+    return tally
 
 
 class _ScoreContext:
@@ -205,42 +232,54 @@ class _ScoreContext:
 
     A case12 batch is scored per prefix: the first G-1 groups of r
     consecutive ranks agree, where r is the last level's radix (S! when the
-    last group is free, 1 when it is a pin). Each type's pooled tally over
-    the prefix groups is summed once per prefix; the type without the last
-    group gets its term once per prefix, and the type that owns it adds one
-    tuple row per leaf and evaluates its term on the r leaves. Terms still
-    accumulate as a's term, a's constant, b's term, b's constant, so the
-    scores equal a per-candidate evaluation bit for bit.
+    last group is free, 1 when it is a pin). The type without the last
+    group pools its prefix groups' rows and gets its term once per prefix;
+    the type that owns it pools each of the r leaves' rows with its prefix
+    groups' rows and gets its term per leaf. Terms still accumulate as a's
+    term, a's constant, b's term, b's constant, so the scores equal a
+    per-candidate evaluation bit for bit. The pooled (prefixes, r, 2**S)
+    tallies and their terms are written to two buffers that every batch
+    reuses, so that scoring faults in no fresh pages per batch; a context
+    therefore scores one batch at a time, of at most `_SCORE_BATCH` ranks.
+
+    `update` moves the context to another dataset. When that dataset extends
+    the one held (the same patterns first), only the new patterns' tallies
+    are added; otherwise the tallies are rebuilt. Either way the lgamma
+    table is extended and the per-n terms are rebuilt, so the scores equal
+    those of a context built afresh bit for bit.
     """
 
     def __init__(self, patterns: Sequence[int], cfg: SearchConfig):
         self.cfg = cfg
-        self.n = len(patterns)
-        v, s = cfg.v, cfg.s
-        cell = 1 << s
-        self.tables = _enum_tables(v, cfg.g, s, arrangements=cfg.mode == "case12")
-        arr = np.asarray(patterns, dtype=np.int64)
-        shifts = v - 1 - np.arange(v)
-        bits = ((arr[None, :] >> shifts[:, None]) & 1).astype(np.int64)
-        tally = np.empty((len(self.tables.tuples), cell), dtype=np.int64)
-        for ti, tup in enumerate(self.tables.tuples):
-            out = bits[tup[0]]
-            for var in tup[1:]:
-                out = (out << 1) | bits[var]
-            tally[ti] = np.bincount(out, minlength=cell)
-        self.tally = tally
+        self.tables = _enum_tables(cfg.v, cfg.g, cfg.s, arrangements=cfg.mode == "case12")
+        self.patterns = np.empty(0, dtype=np.int64)
+        self.tally = np.zeros((len(self.tables.tuples), 1 << cfg.s), dtype=np.int64)
+        self.lgam = np.array([math.inf])
+        self._pooled = np.empty(0, dtype=np.int64)
+        self._terms = np.empty(0)
+        self.update(patterns)
 
-        counts = np.arange(cfg.g * self.n + 1, dtype=np.float64)
-        if cfg.scorer == "paper_plugin":
-            self.pool_term = counts * (np.log1p(counts) - math.log(cell + cfg.g * self.n))
-            single = counts[: self.n + 1] * (np.log1p(counts[: self.n + 1]) - math.log(cell + self.n))
-            self.tuple_score = single[tally].sum(axis=1)
+    def update(self, patterns: Sequence[int]) -> None:
+        """Hold the tallies and per-n terms of `patterns`."""
+        cfg = self.cfg
+        arr = np.array(patterns, dtype=np.int64)  # a copy, so a later change by the caller is seen
+        held = len(self.patterns)
+        if len(arr) >= held and np.array_equal(arr[:held], self.patterns):
+            self.tally += _tuple_tally(arr[held:], self.tables.tuple_vars, cfg.v)
         else:
-            lgam = _lgamma_table(cfg.g * self.n + cell + 1)
-            self.pool_term = lgam[np.arange(cfg.g * self.n + 1) + 1]
-            self.lgam = lgam
-            base = lgam[cell] - lgam[cell + self.n]
-            self.tuple_score = base + lgam[tally + 1].sum(axis=1)
+            self.tally = _tuple_tally(arr, self.tables.tuple_vars, cfg.v)
+        self.patterns = arr
+        self.n = n = len(arr)
+        g, cell = cfg.g, 1 << cfg.s
+        if cfg.scorer == "paper_plugin":
+            counts = np.arange(g * n + 1, dtype=np.float64)
+            self.pool_term = counts * (np.log1p(counts) - math.log(cell + g * n))
+            single = counts[: n + 1] * (np.log1p(counts[: n + 1]) - math.log(cell + n))
+            self.tuple_score = single[self.tally].sum(axis=1)
+        else:
+            self.lgam = lgam = _lgamma_table(g * n + cell + 1, self.lgam)
+            self.pool_term = lgam[1 : g * n + 2]
+            self.tuple_score = lgam[cell] - lgam[cell + n] + lgam[self.tally + 1].sum(axis=1)
 
     def score(self, lo: int, hi: int) -> np.ndarray:
         """Scores of ranks [lo, hi); a case12 range lies within one assignment pattern."""
@@ -252,16 +291,28 @@ class _ScoreContext:
         labels = _pattern_from_index(pattern_idx, cfg.g, cfg.num_types)
         pins = _pin_positions(labels, cfg.num_types)
         prefix, leaves = self.tables.case12_ids(pins, sub_lo, sub_lo + hi - lo)
+        cells = leaves.size * cell
+        if self._pooled.size < cells:
+            self._pooled = np.empty(cells, dtype=np.int64)
+            self._terms = np.empty(cells)
         scores = np.zeros(leaves.shape)
         for label in ("a", "b"):
             cols = [j for j, lab in enumerate(labels[:-1]) if lab == label]
             owns_last = label == labels[-1]
             if not (cols or owns_last):
                 continue
-            pooled = self.tally[prefix[:, cols]].sum(axis=1)[:, None, :]
+            width = leaves.shape[1] if owns_last else 1
+            pooled = self._pooled[: len(prefix) * width * cell].reshape(len(prefix), width, cell)
+            # mode="clip", because np.take with mode="raise" copies through a
+            # temporary; tuple ids and pooled counts (<= G*n) are in range
             if owns_last:
-                pooled = pooled + self.tally[leaves]
-            scores += self.pool_term[pooled].sum(axis=-1)
+                np.take(self.tally, leaves, axis=0, out=pooled, mode="clip")
+            else:
+                pooled.fill(0)
+            for j in cols:  # integer sums, exact in any order
+                pooled += self.tally[prefix[:, j], None]
+            terms = self._terms[: pooled.size].reshape(pooled.shape)
+            scores += np.take(self.pool_term, pooled, out=terms, mode="clip").sum(axis=-1)
             if cfg.scorer != "paper_plugin":
                 scores += self.lgam[cell] - self.lgam[cell + (len(cols) + owns_last) * self.n]
         skip = sub_lo % leaves.shape[1]
@@ -287,6 +338,7 @@ class _EnumTables:
         tuples = itertools.permutations if arrangements else itertools.combinations
         self.tuples = list(tuples(range(v), s))
         self.tuple_index = {tup: i for i, tup in enumerate(self.tuples)}
+        self.tuple_vars = np.array(self.tuples, dtype=np.intp)
         self.comb_radix = [math.comb(v - j * s, s) for j in range(g)]
         self.arr_radix = [math.perm(v - j * s, s) for j in range(g)]
         self.comb: list[tuple[np.ndarray, np.ndarray]] = []
@@ -379,7 +431,15 @@ def _enum_tables(v: int, g: int, s: int, arrangements: bool) -> _EnumTables:
     return _ENUM_TABLES[key]
 
 
-_SCORE_BATCH = 65536
+# Largest space that search() scores in-process whatever `workers` says:
+# starting a pool costs more than scoring it.
+_IN_PROCESS_MAX = 65536
+# Ranks per _ScoreContext.score call; each of the two scoring buffers holds
+# about this many times 2**S cells. On 2 cores (numpy 2.4), 65,536-rank
+# batches scored 7-12% faster but put the c12_many_small benchmark's peak
+# RSS at 40.7 MiB, against 39.1 MiB at 4,096; 2,048-rank batches scored a
+# V=12 sweep about 13% slower than 4,096-rank ones.
+_SCORE_BATCH = 4096
 
 
 def _top_k(ranks: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -397,25 +457,27 @@ def _top_k(ranks: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, n
 
 
 def _score_range(ctx: _ScoreContext, start: int, end: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (ranks, scores) for the rank range [start, end)."""
+    """Top-k (ranks, scores) for the rank range [start, end), merged batch by batch."""
     cfg = ctx.cfg
     span = _per_pattern(cfg) if cfg.mode == "case12" else candidate_count(cfg)
-    rank_parts = []
-    score_parts = []
+    ranks = np.empty(0, dtype=np.int64)
+    scores = np.empty(0)
     rank = start
     while rank < end:
         stop = min(end, (rank // span + 1) * span, rank + _SCORE_BATCH)
-        ranks, scores = _top_k(np.arange(rank, stop, dtype=np.int64), ctx.score(rank, stop), k)
-        rank_parts.append(ranks)
-        score_parts.append(scores)
+        ranks, scores = _top_k(
+            np.concatenate((ranks, np.arange(rank, stop, dtype=np.int64))),
+            np.concatenate((scores, ctx.score(rank, stop))),
+            k,
+        )
         rank = stop
-    return _top_k(np.concatenate(rank_parts), np.concatenate(score_parts), k)
+    return ranks, scores
 
 
 _WORKER_CTX: _ScoreContext | None = None
 
 
-def _worker_init(patterns: list[int], cfg: SearchConfig) -> None:
+def _worker_init(patterns: np.ndarray, cfg: SearchConfig) -> None:
     global _WORKER_CTX
     _WORKER_CTX = _ScoreContext(patterns, cfg)
 
@@ -426,44 +488,69 @@ def _worker_score_range(start: int, end: int, k: int) -> tuple[list[int], list[f
     return ranks.tolist(), scores.tolist()
 
 
-def search(patterns: Sequence[int], cfg: SearchConfig) -> list[ScoredCandidate]:
+class SearchSession:
+    """Score tables carried across the searches of one growing dataset.
+
+    Pass one session to the `search` calls that a run makes at its
+    checkpoints, on patterns[:n] for growing n: each call then tallies only
+    the patterns past those of the call before. A dataset that does not
+    extend the previous one is tallied afresh, and another config gets new
+    tables.
+    """
+
+    def __init__(self) -> None:
+        self._ctx: _ScoreContext | None = None
+
+    def context(self, patterns: Sequence[int], cfg: SearchConfig) -> _ScoreContext:
+        """The score context of `patterns` under `cfg`, updated from the one held where it can be."""
+        if self._ctx is None or self._ctx.cfg != cfg:
+            self._ctx = _ScoreContext(patterns, cfg)
+        else:
+            self._ctx.update(patterns)
+        return self._ctx
+
+
+def search(
+    patterns: Sequence[int], cfg: SearchConfig, session: SearchSession | None = None
+) -> list[ScoredCandidate]:
     """Exact top-k over the canonical candidate space.
 
-    Workers score disjoint contiguous rank ranges and emit partial top-k
+    A space of at most `_IN_PROCESS_MAX` (65,536) candidates, or any space
+    when `workers` is 1, is scored in-process as one rank range, because
+    starting a pool costs more than scoring a small space. Otherwise
+    workers score disjoint contiguous rank ranges and emit partial top-k
     lists; the merge orders by (score desc, rank asc), so the result is
-    identical for every worker count. A space no bigger than one scoring
-    batch is scored in-process whatever `workers` says, because starting a
-    pool costs more than the scoring.
+    identical for every worker count. Either way a range is scored in
+    batches of `_SCORE_BATCH` (4,096) ranks. A `session` carries the tuple
+    tallies from one call to the next; without one the call is a
+    session's first search.
     """
     if len(patterns) == 0:
         raise ValueError("search requires a nonempty dataset")
     total = candidate_count(cfg)
     k = cfg.top_k
-    chunk = max(1, -(-total // (cfg.workers * 64)))
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    patterns = [int(p) for p in patterns]
     # Built before any pool starts: forked workers inherit the enumeration
     # tables, and the final unranks below reuse them.
-    ctx = _ScoreContext(patterns, cfg)
+    ctx = (session or SearchSession()).context(patterns, cfg)
 
-    if cfg.workers == 1 or total <= _SCORE_BATCH:
-        parts = []
-        for lo, hi in ranges:
-            parts.append(_score_range(ctx, lo, hi, k))
-            logger.info("scored ranks [%d, %d) of %d", lo, hi, total)
+    if cfg.workers == 1 or total <= _IN_PROCESS_MAX:
+        ranks, scores = _score_range(ctx, 0, total, k)
+        logger.info("scored %d ranks in-process", total)
     else:
+        chunk = max(1, -(-total // (cfg.workers * 64)))
+        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         parts = []
         with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_worker_init, initargs=(patterns, cfg)
+            max_workers=cfg.workers, initializer=_worker_init, initargs=(ctx.patterns, cfg)
         ) as pool:
             futures = [pool.submit(_worker_score_range, lo, hi, k) for lo, hi in ranges]
             for (lo, hi), fut in zip(ranges, futures):
-                ranks, scores = fut.result()
-                parts.append((np.asarray(ranks, dtype=np.int64), np.asarray(scores)))
+                part_ranks, part_scores = fut.result()
+                parts.append((np.asarray(part_ranks, dtype=np.int64), np.asarray(part_scores)))
                 logger.info("scored ranks [%d, %d) of %d", lo, hi, total)
+        ranks = np.concatenate([p[0] for p in parts])
+        scores = np.concatenate([p[1] for p in parts])
 
-    ranks = np.concatenate([p[0] for p in parts])
-    scores = np.concatenate([p[1] for p in parts])
     order = np.lexsort((ranks, -scores))[:k]
     return [
         ScoredCandidate(

@@ -3,7 +3,8 @@
 The library unranks, enumerates and scores candidates through the
 vectorized `_EnumTables` walk and `_ScoreContext`. The functions here do
 the same one candidate at a time with plain loops over pools of variables,
-so tests can check the fast paths against an independent implementation.
+so tests can check the fast paths against an independent implementation;
+`oracle_tuple_tally` counts each tuple's outcomes with its own bincount.
 `oracle_four_urns_single_run` likewise draws a four-urns run one sample at
 a time, fits each checkpoint with its own em_two_type call and reads it
 out through the scalar `oracle_dirichlet_mean`, `oracle_per_unit_mixture`
@@ -313,6 +314,20 @@ def canonicalize_candidate(cfg: SearchConfig, candidate: Candidate) -> Candidate
 # ---------------------------------------------------------------------------
 # Per-candidate scorers
 # ---------------------------------------------------------------------------
+
+
+def oracle_tuple_tally(patterns: Sequence[int], tuples: Sequence[tuple[int, ...]], v: int) -> np.ndarray:
+    """(tuples, 2**S) outcome counts, one bincount per tuple; the first variable is the highest bit."""
+    arr = np.asarray(patterns, dtype=np.int64)
+    bits = ((arr[None, :] >> (v - 1 - np.arange(v))[:, None]) & 1).astype(np.int64)
+    cell = 1 << len(tuples[0])
+    tally = np.empty((len(tuples), cell), dtype=np.int64)
+    for ti, tup in enumerate(tuples):
+        out = bits[tup[0]]
+        for var in tup[1:]:
+            out = (out << 1) | bits[var]
+        tally[ti] = np.bincount(out, minlength=cell)
+    return tally
 
 
 def score_candidate_paper(patterns: Sequence[int], candidate: Candidate, cfg: SearchConfig) -> float:

@@ -467,9 +467,9 @@ class TestBitVectorsMatchOracle:
         searched = []
         real_search = experiment_module.search
 
-        def counting_search(patterns, cfg):
+        def counting_search(patterns, cfg, session):
             searched.append(len(patterns))
-            return real_search(patterns, cfg)
+            return real_search(patterns, cfg, session)
 
         monkeypatch.setattr(experiment_module, "search", counting_search)
         spec = ExperimentSpec(

@@ -5,17 +5,22 @@ import importlib
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from latent_structure_lab.estimate import EstimatorConfig
+from latent_structure_lab.experiment import ExperimentSpec, SearchSettings, _search_config, _searched_candidates
 from latent_structure_lab.prob import CapacityError, Grouping, group_outcomes, kl_divergence
 from latent_structure_lab.rng import RngState, derive_seed
 from latent_structure_lab.search import (
+    MODES,
     SCORERS,
     Candidate,
     SearchConfig,
+    SearchSession,
+    _TALLY_BLOCK,
     _per_pattern,
     _ScoreContext,
     _score_range,
@@ -38,6 +43,7 @@ from oracles import (
     candidate_rank,
     canonicalize_candidate,
     enumerate_candidates,
+    oracle_tuple_tally,
     oracle_unrank,
     score_candidate_case1,
     score_candidate_marginal,
@@ -45,6 +51,7 @@ from oracles import (
 )
 
 search_module = importlib.import_module("latent_structure_lab.search")
+experiment_module = importlib.import_module("latent_structure_lab.experiment")
 
 CFG6 = SearchConfig(v=6, g=2, s=3, num_types=2, mode="case12")
 CFG6_C1 = SearchConfig(v=6, g=2, s=3, num_types=1, mode="case1")
@@ -418,7 +425,8 @@ class TestSearch:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(search_module, "ProcessPoolExecutor", CountingPool)
-        # 40 candidates score in-process; 80,640 exceed one batch and use a pool
+        # 40 candidates score in-process; 80,640 exceed the 65,536-candidate
+        # in-process limit (not the 4,096-rank scoring batch) and use a pool
         for v, g, s, pooled in ((6, 2, 3, False), (8, 4, 2, True)):
             truth = build_bitvector_truth(BitsConfig(v=v, g=g, s=s), 5)
             patterns = draw_patterns(truth, 6, 200)
@@ -607,6 +615,162 @@ class TestPrefixScorer:
             order = np.lexsort((np.arange(lo, hi), -oracle[lo:hi]))[:k]
             assert np.array_equal(ranks, order + lo)
             assert np.array_equal(scores.view(np.int64), oracle[lo:hi][order].view(np.int64))
+
+
+TALLY_GEOMETRIES = [(6, 2, 3), (8, 4, 2), (9, 3, 3), (12, 4, 3)]
+TALLY_SIZES = [1, 7, 500]
+
+
+class TestTupleTally:
+    """The blocked (tuple, outcome) bincount equals one bincount per tuple."""
+
+    @pytest.mark.parametrize("n", TALLY_SIZES)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("v, g, s", TALLY_GEOMETRIES)
+    def test_matches_per_tuple_oracle(self, v, g, s, mode, n):
+        patterns = random_patterns(np.random.default_rng(1000 * v + n), v, n)
+        cfg = SearchConfig(v=v, g=g, s=s, num_types=2 if mode == "case12" else 1, mode=mode)
+        ctx = _ScoreContext(patterns, cfg)
+        want = oracle_tuple_tally(patterns, ctx.tables.tuples, v)
+        assert ctx.tally.dtype == want.dtype
+        assert np.array_equal(ctx.tally, want)
+
+    def test_grid_splits_tuple_blocks_unevenly(self):
+        # V=12 at 500 samples: 1,320 ordered and 220 sorted tuples, in blocks
+        # that leave a shorter last block
+        v, g, s = TALLY_GEOMETRIES[-1]
+        step = _TALLY_BLOCK // max(TALLY_SIZES)
+        for arrangements in (True, False):
+            tuples = len(search_module._enum_tables(v, g, s, arrangements).tuples)
+            assert tuples > step and tuples % step != 0
+
+
+def result_bits(results):
+    return [(r.rank, r.log_score.hex()) for r in results]
+
+
+class TestSearchSession:
+    """Searches that share a session equal fresh searches, by rank and by score bits."""
+
+    GRID = (1, 2, 5, 10, 11, 40, 120)
+
+    @staticmethod
+    def config(mode, scorer, top_k=5):
+        return SearchConfig(
+            v=9, g=3, s=3, num_types=2 if mode == "case12" else 1, mode=mode, scorer=scorer, top_k=top_k
+        )
+
+    @staticmethod
+    def patterns(n, seed=17):
+        return draw_patterns(build_bitvector_truth(BitsConfig(v=9, g=3, s=3), seed), seed + 1, n)
+
+    @pytest.fixture
+    def tallied(self, monkeypatch):
+        """The number of patterns each tuple tally is built over."""
+        sizes = []
+        real = search_module._tuple_tally
+
+        def counting(patterns, tuple_vars, v):
+            sizes.append(len(patterns))
+            return real(patterns, tuple_vars, v)
+
+        monkeypatch.setattr(search_module, "_tuple_tally", counting)
+        return sizes
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_checkpoint_equals_fresh_search(self, mode, scorer, tallied):
+        cfg = self.config(mode, scorer)
+        patterns = self.patterns(self.GRID[-1])
+        session = SearchSession()
+        for held, n in zip((0,) + self.GRID, self.GRID):
+            tallied.clear()
+            got = result_bits(search(patterns[:n], cfg, session))
+            assert tallied == [n - held]
+            assert got == result_bits(search(patterns[:n], cfg)), n
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    @pytest.mark.parametrize("case", ("c1", "c12"))
+    def test_run_schedule_with_first_checkpoint_fallback(self, case, scorer, monkeypatch):
+        spec = ExperimentSpec(
+            kind="bit_vectors",
+            n_samples=100,
+            n_runs=1,
+            base_seed=5,
+            cases=(case,),
+            checkpoints=(3, 20, 50, 70, 100),
+            bits_config=BitsConfig(v=9, g=3, s=3),
+            search=SearchSettings(checkpoints=(50, 100), scorer=scorer),
+        )
+        real_search = experiment_module.search
+        searched = []
+
+        def checked_search(patterns, cfg, session):
+            results = real_search(patterns, cfg, session)
+            assert result_bits(results) == result_bits(real_search(patterns, cfg))
+            searched.append((len(patterns), results[0].candidate))
+            return results
+
+        monkeypatch.setattr(experiment_module, "search", checked_search)
+        patterns = np.array(self.patterns(100))
+        found = _searched_candidates(spec, case, patterns, spec.checkpoints)
+        assert [n for n, _ in searched] == [3, 50, 100]
+        first, at_50, at_100 = (candidate for _, candidate in searched)
+        assert found == [first, first, at_50, at_50, at_100]
+        cfg = _search_config(spec, "case1" if case == "c1" else "case12")
+        assert first == search(patterns[:3], cfg)[0].candidate
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_dataset_that_does_not_extend_is_tallied_afresh(self, scorer, tallied):
+        cfg = self.config("case12", scorer)
+        base = self.patterns(80)
+        flipped = list(base)
+        flipped[10] ^= 0b100
+        last_changed = base[:40]
+        last_changed[-1] ^= 1
+        for first, second in (
+            (base[:40], flipped[:60]),  # longer, but an early pattern differs
+            (base[:60], base[:30]),  # shorter
+            (base[:40], last_changed),  # same length, last pattern differs
+            (base[:40], base[:40]),  # the same dataset again
+        ):
+            session = SearchSession()
+            search(first, cfg, session)
+            tallied.clear()
+            got = result_bits(search(second, cfg, session))
+            assert tallied == [0 if second == first else len(second)]
+            assert got == result_bits(search(second, cfg))
+
+    def test_caller_changing_its_array_is_seen(self):
+        cfg = self.config("case12", "dirichlet_marginal")
+        patterns = np.array(self.patterns(60))
+        session = SearchSession()
+        search(patterns[:40], cfg, session)
+        patterns[5] ^= 0b11
+        assert result_bits(search(patterns, cfg, session)) == result_bits(search(patterns, cfg))
+
+    def test_another_config_gets_its_own_tables(self):
+        patterns = self.patterns(50)
+        session = SearchSession()
+        for mode, scorer in itertools.product(MODES, SCORERS):
+            cfg = self.config(mode, scorer)
+            assert result_bits(search(patterns, cfg, session)) == result_bits(search(patterns, cfg))
+
+
+class TestSearchMemory:
+    def test_in_process_search_peak_traced_allocation(self):
+        """One in-process V=9 case12 search scores 4,096 ranks per batch. A
+        warm-up search first builds the process-wide enumeration tables."""
+        cfg = SearchConfig(v=9, g=3, s=3, mode="case12", scorer="dirichlet_marginal", workers=2, top_k=1)
+        patterns = draw_patterns(build_bitvector_truth(BitsConfig(v=9, g=3, s=3), 90), 91, 300)
+        search(patterns, cfg)
+        tracemalloc.start()
+        try:
+            search(patterns, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (1 << 20)
 
 
 class TestEstimateFromCandidate:
