@@ -319,47 +319,106 @@ class _ScoreContext:
         return scores.reshape(-1)[skip : skip + hi - lo]
 
 
+def _rank_terms(v: int, positions: np.ndarray, arrangements: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot terms (s, v) and per-digit offsets of lexicographic tuple ranks.
+
+    Digit r's group holds a[k] = pool[positions[r, k]] in slot k, for an
+    ascending pool of variables below v. Its index among the S-arrangements
+    of range(v) (if `arrangements`) or among its S-combinations is
+    offset[r] + sum_k terms[k, a[k]]:
+    - an arrangement's rank is sum_k (a[k] - #{m < k: a[m] < a[k]}) *
+      P(v-1-k, s-1-k), and a[m] < a[k] exactly when positions[r, m] <
+      positions[r, k];
+    - a sorted combination's is C(v, s) - 1 - sum_k C(v-1-a[k], s-k).
+    """
+    s = positions.shape[1]
+    a = np.arange(v, dtype=np.int64)
+    if arrangements:
+        place = np.array([math.perm(v - 1 - k, s - 1 - k) for k in range(s)], dtype=np.int64)
+        earlier_below = np.tril(positions[:, None, :] < positions[:, :, None], -1).sum(axis=2)
+        return place[:, None] * a, -(earlier_below @ place)
+    terms = np.array([[-math.comb(v - 1 - x, s - k) for x in a] for k in range(s)], dtype=np.int64)
+    return terms, np.full(len(positions), math.comb(v, s) - 1, dtype=np.int64)
+
+
+def _slot_sums(pools: np.ndarray, positions: np.ndarray, terms: np.ndarray, offset) -> np.ndarray:
+    """offset + sum_k terms[k, pools[i, positions[r, k]]], shape (pools, digits).
+
+    `offset` broadcasts to that shape. Each slot is one 2-d gather, so the
+    temporaries are two int64s per (pool row, digit).
+    """
+    out = np.empty((len(pools), len(positions)), dtype=np.int64)
+    out[...] = offset
+    for k in range(positions.shape[1]):
+        out += terms[k][pools][:, positions[:, k]]
+    return out
+
+
+# Cells per chunk when _EnumTables sums a level's arrangement ids. It bounds
+# the build's temporaries: V=12 levels 1 and 2 hold 110,880 arrangement cells.
+_BUILD_CHUNK = 1 << 15
+
+
 class _EnumTables:
     """Vectorized unranking tables for one (v, g, s) geometry.
 
-    A level-j state is the set of variables still unused after j groups,
-    indexed in the order the build first reaches it: level j-1's states in
-    index order, each with its combination digits in order (level 1 at V=6,
-    S=2 runs (2,3,4,5), (1,3,4,5), ...). For each state and digit the
-    tables give the chosen group's tuple id and the next state, so
-    unranking a batch of ranks, or a single one, reduces to per-level 2-d
-    gathers. Ordered tuples and the arrangement tables are built only when
-    `arrangements` is set (case12); case1 needs sorted tuples and the
-    combination tables alone.
+    A level-j state is the set of variables still unused after j groups.
+    For each state and digit the tables give the chosen group's tuple id and
+    the next state, so unranking a batch of ranks, or a single one, reduces
+    to per-level 2-d gathers. Ordered tuples and the arrangement tables are
+    built only when `arrangements` is set (case12); case1 needs sorted tuples
+    and the combination tables alone.
+
+    States are numbered in the order a walk first reaches them: level j's
+    states in index order, each with its combination digits in order
+    (level 1 at V=6, S=2 runs (2,3,4,5), (1,3,4,5), ...). That is the
+    lexicographic order of the variables used so far, since a used set is
+    first reached from the state that used its smallest variables, by the
+    digit that picks the rest of them. So level j's states are the
+    C(v, left) sets of `left` variables in reverse lexicographic order.
+
+    The build is array arithmetic, one level at a time. The rows of `pools`
+    are the level's states, each in ascending order. Digit r picks the pool
+    columns `positions[r]`, the r-th lexicographic S-combination (or
+    S-arrangement) of range(left), which is itertools' order over the pool,
+    and leaves the columns `rest[r]`. The group's tuple id and the next
+    state's number are both sums of per-slot terms of a lexicographic rank
+    (`_rank_terms`, `_slot_sums`). An arrangement leaves the same state as
+    the combination of its positions, so the arrangement next-state table
+    is a column gather of the combination one.
     """
 
     def __init__(self, v: int, g: int, s: int, arrangements: bool):
         self.v, self.g, self.s = v, g, s
         tuples = itertools.permutations if arrangements else itertools.combinations
         self.tuples = list(tuples(range(v), s))
-        self.tuple_index = {tup: i for i, tup in enumerate(self.tuples)}
         self.tuple_vars = np.array(self.tuples, dtype=np.intp)
         self.comb_radix = [math.comb(v - j * s, s) for j in range(g)]
         self.arr_radix = [math.perm(v - j * s, s) for j in range(g)]
         self.comb: list[tuple[np.ndarray, np.ndarray]] = []
         self.arr: list[tuple[np.ndarray, np.ndarray]] = []
 
-        kinds = [(itertools.combinations, self.comb_radix, self.comb)]
-        if arrangements:
-            kinds.append((itertools.permutations, self.arr_radix, self.arr))
-        states: list[tuple[int, ...]] = [tuple(range(v))]
         for j in range(g):
-            next_index: dict[tuple[int, ...], int] = {}
-            for choose, radix, tables in kinds:
-                tab_id = np.empty((len(states), radix[j]), dtype=np.int32)
-                tab_next = np.empty_like(tab_id)
-                for si, pool in enumerate(states):
-                    for r, grp in enumerate(choose(pool, s)):
-                        tab_id[si, r] = self.tuple_index[grp]
-                        rest = tuple(x for x in pool if x not in grp)
-                        tab_next[si, r] = next_index.setdefault(rest, len(next_index))
-                tables.append((tab_id, tab_next))
-            states = list(next_index)
+            left = v - j * s
+            pools = np.array(list(itertools.combinations(range(v), left)), dtype=np.intp)[::-1]
+            positions = np.array(list(itertools.combinations(range(left), s)), dtype=np.intp)
+            # complementing reverses lexicographic order
+            rest = np.array(list(itertools.combinations(range(left), left - s)), dtype=np.intp)[::-1]
+            tab_id = _slot_sums(pools, positions, *_rank_terms(v, positions, arrangements))
+            # C(v, left-s) - 1 minus the lexicographic rank of the next state
+            tab_next = _slot_sums(pools, rest, -_rank_terms(v, rest, False)[0], 0)
+            self.comb.append((tab_id.astype(np.int32), tab_next.astype(np.int32)))
+            if not arrangements:
+                continue
+            positions = np.array(list(itertools.permutations(range(left), s)), dtype=np.intp)
+            terms = _rank_terms(v, positions, True)
+            tab_id = np.empty((len(pools), len(positions)), dtype=np.int32)
+            step = max(1, _BUILD_CHUNK // len(positions))
+            for lo in range(0, len(pools), step):
+                tab_id[lo : lo + step] = _slot_sums(pools[lo : lo + step], positions, *terms)
+            sets = np.sort(positions, axis=1)
+            comb_digit = _slot_sums(np.arange(left)[None, :], sets, *_rank_terms(left, sets, False))[0]
+            self.arr.append((tab_id, self.comb[j][1][:, comb_digit]))
 
     def case12_ids(
         self, pins: tuple[int, ...], sub_lo: int, sub_hi: int

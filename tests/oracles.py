@@ -4,7 +4,11 @@ The library unranks, enumerates and scores candidates through the
 vectorized `_EnumTables` walk and `_ScoreContext`. The functions here do
 the same one candidate at a time with plain loops over pools of variables,
 so tests can check the fast paths against an independent implementation;
-`oracle_tuple_tally` counts each tuple's outcomes with its own bincount.
+`oracle_enum_tables` builds the unranking tables themselves by walking
+every (state, digit) pair with a dict of next states
+(`assert_enum_tables_match_oracle` compares a build with it byte for
+byte), and `oracle_tuple_tally` counts each tuple's outcomes with its own
+bincount.
 `oracle_four_urns_single_run` likewise draws a four-urns run one sample at
 a time, fits each checkpoint with its own em_two_type call and reads it
 out through the scalar `oracle_dirichlet_mean`, `oracle_per_unit_mixture`
@@ -16,6 +20,7 @@ a per-pattern gather (`oracle_joint_from_grouping`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -110,6 +115,51 @@ def log_likelihood(t: TallyVector, q: Categorical) -> float:
 # ---------------------------------------------------------------------------
 # Scalar unranking and ranking
 # ---------------------------------------------------------------------------
+
+
+def oracle_enum_tables(
+    v: int, g: int, s: int, arrangements: bool
+) -> tuple[list[tuple[int, ...]], list[tuple[np.ndarray, np.ndarray]], list[tuple[np.ndarray, np.ndarray]]]:
+    """`_EnumTables`' (tuples, comb, arr), built by walking every (state, digit) pair.
+
+    Level j+1's states are numbered as a dict first reaches them: level j's
+    states in index order, the combination digits before the arrangement
+    digits, each in itertools order.
+    """
+    choose_tuples = itertools.permutations if arrangements else itertools.combinations
+    tuples = list(choose_tuples(range(v), s))
+    tuple_index = {tup: i for i, tup in enumerate(tuples)}
+    comb: list[tuple[np.ndarray, np.ndarray]] = []
+    arr: list[tuple[np.ndarray, np.ndarray]] = []
+    kinds = [(itertools.combinations, math.comb, comb)]
+    if arrangements:
+        kinds.append((itertools.permutations, math.perm, arr))
+    states: list[tuple[int, ...]] = [tuple(range(v))]
+    for j in range(g):
+        next_index: dict[tuple[int, ...], int] = {}
+        for choose, count, tables in kinds:
+            tab_id = np.empty((len(states), count(v - j * s, s)), dtype=np.int32)
+            tab_next = np.empty_like(tab_id)
+            for si, pool in enumerate(states):
+                for r, grp in enumerate(choose(pool, s)):
+                    tab_id[si, r] = tuple_index[grp]
+                    rest = tuple(x for x in pool if x not in grp)
+                    tab_next[si, r] = next_index.setdefault(rest, len(next_index))
+            tables.append((tab_id, tab_next))
+        states = list(next_index)
+    return tuples, comb, arr
+
+
+def assert_enum_tables_match_oracle(tables, arrangements: bool) -> None:
+    """`tables`, an `_EnumTables`, equals `oracle_enum_tables`: the same tuples,
+    and every array with the same dtype, shape and bytes."""
+    tuples, comb, arr = oracle_enum_tables(tables.v, tables.g, tables.s, arrangements)
+    assert tables.tuples == tuples
+    assert len(tables.comb) == len(comb) and len(tables.arr) == len(arr)
+    for got, want in zip(tables.comb + tables.arr, comb + arr):
+        for got_tab, want_tab in zip(got, want, strict=True):
+            assert (got_tab.dtype, got_tab.shape) == (want_tab.dtype, want_tab.shape)
+            assert got_tab.tobytes() == want_tab.tobytes()
 
 
 def _unrank_combination(pool: list[int], s: int, r: int) -> tuple[list[int], list[int]]:

@@ -3,6 +3,8 @@
 A full case12 sweep visits 106,444,800 candidates; these tests verify the
 throughput needed to make that tractable and, separately, that the search
 locks onto the hidden structure within a few hundred samples at full scale.
+The V=12, G=3, S=4 enumeration tables are also checked against the slow
+table-walk oracle here.
 """
 
 import os
@@ -14,6 +16,7 @@ import pytest
 from latent_structure_lab.rng import RngState, derive_seed
 from latent_structure_lab.search import (
     SearchConfig,
+    _EnumTables,
     _ScoreContext,
     _score_range,
     candidate_count,
@@ -21,6 +24,7 @@ from latent_structure_lab.search import (
     search,
 )
 from latent_structure_lab.simulate import BitsConfig, build_bitvector_truth, draw_bitvector, true_joint
+from oracles import assert_enum_tables_match_oracle
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("LSL_RUN_EXPENSIVE") != "1",
@@ -74,3 +78,9 @@ def test_full_scale_lock_in_within_order_of_magnitude():
         if hit and locked_at is None:
             locked_at = n
     assert locked_at is not None and locked_at <= 1250
+
+
+@pytest.mark.parametrize("arrangements", (False, True))
+def test_v12_g3_s4_tables_match_oracle(arrangements):
+    # the oracle's walk takes about 1.6 s for the case12 tables
+    assert_enum_tables_match_oracle(_EnumTables(12, 3, 4, arrangements), arrangements)

@@ -40,6 +40,7 @@ from latent_structure_lab.simulate import (
     true_joint,
 )
 from oracles import (
+    assert_enum_tables_match_oracle,
     candidate_rank,
     canonicalize_candidate,
     enumerate_candidates,
@@ -300,6 +301,18 @@ class TestOneUnranker:
         assert pool_starts == [1]
         assert unranked_after == [1] * 7
         assert [r.candidate for r in results] == [oracle_unrank(cfg, r.rank) for r in results]
+
+
+class TestEnumTablesMatchOracle:
+    """The array-built tables equal the (state, digit) walk byte for byte."""
+
+    @pytest.mark.parametrize(
+        "geometry",
+        ((3, 1, 3), (6, 2, 3), (6, 3, 2), (8, 2, 4), (8, 4, 2), (9, 3, 3), (10, 5, 2), (12, 4, 2), (12, 4, 3)),
+    )
+    @pytest.mark.parametrize("arrangements", (False, True))
+    def test_tables_are_byte_identical(self, geometry, arrangements):
+        assert_enum_tables_match_oracle(search_module._EnumTables(*geometry, arrangements), arrangements)
 
 
 class TestPaperScorer:
@@ -771,6 +784,21 @@ class TestSearchMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * (1 << 20)
+
+
+class TestEnumTablesMemory:
+    @pytest.mark.parametrize("arrangements, limit_mib", ((True, 4.0), (False, 1.5)))
+    def test_fresh_v12_build_peak_traced_allocation(self, arrangements, limit_mib):
+        """A fresh V=12, G=4, S=3 build, after a small warm-up build. The
+        tables themselves take 2.0 MiB (case12) and 0.29 MiB (case1)."""
+        search_module._EnumTables(6, 2, 3, arrangements)
+        tracemalloc.start()
+        try:
+            search_module._EnumTables(12, 4, 3, arrangements)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * (1 << 20)
 
 
 class TestEstimateFromCandidate:
