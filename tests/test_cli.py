@@ -151,8 +151,26 @@ class TestEstimate:
         "c12": "c547a8abe80f9e0fccdb9cb3428dfda8d898621495b48ca2be5a86cf8be2aa35",
     }
 
+    # The KL report each of those runs prints to stderr.
+    PINNED_KL_REPORTS = {
+        "raw": (
+            "KL urn 1: 0.289900\nKL urn 2: 0.051118\nKL urn 3: 0.034412\n"
+            "KL urn 4: 0.055428\nKL total: 0.430857\n"
+        ),
+        "ours": (
+            "KL urn 1: 0.026869\nKL urn 2: 0.021195\nKL urn 3: 0.022360\n"
+            "KL urn 4: 0.021195\nKL total: 0.091619\n"
+        ),
+        "c0": "KL joint: 0.358837\n",
+        "c0p": "KL joint: 0.147622\n",
+        "c13": "KL joint: 0.041581\n",
+        "c123": "KL joint: 0.041581\n",
+        "c1": "KL joint: 0.041581\n",
+        "c12": "KL joint: 0.041581\n",
+    }
+
     @pytest.mark.parametrize("case", sorted(PINNED_ESTIMATES))
-    def test_pinned_output_bytes(self, bits_setup, tmp_path, case):
+    def test_pinned_output_bytes(self, bits_setup, tmp_path, capsys, case):
         if case in ("raw", "ours"):
             model, data = tmp_path / "urns.json", tmp_path / "urns.jsonl"
             assert main(["gen-model", "--kind", "urns", "--seed", "4", "--out", str(model)]) == 0
@@ -161,8 +179,10 @@ class TestEstimate:
             model, data = bits_setup
         out = tmp_path / "est.json"
         argv = ["estimate", "--case", case, "--data", str(data), "--model", str(model), "--seed", "7"]
+        capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_ESTIMATES[case]
+        assert capsys.readouterr().err == self.PINNED_KL_REPORTS[case]
 
 
 class TestSearchCommand:
