@@ -5,17 +5,10 @@ and reproducible KL-vs-samples experiment curves.
 """
 
 from .estimate import (
-    EmResult,
     EstimatorConfig,
     bit_case_joint,
-    em_two_type,
     em_two_type_many,
-    grouped_known_estimate,
-    group_tallies,
     independent_bits_estimate,
-    joint_dirichlet_estimate,
-    per_unit_mixture,
-    raw_tally_estimate,
 )
 from .experiment import (
     BitVectorsResult,
@@ -38,8 +31,6 @@ from .prob import (
     CapacityError,
     Categorical,
     Grouping,
-    TallyVector,
-    dirichlet_mean,
     group_outcomes,
     joint_from_grouping,
     joint_from_independent_bits,
@@ -54,7 +45,6 @@ from .search import (
     SearchConfig,
     SearchSession,
     candidate_count,
-    estimate_from_candidate,
     in_truth_orbit,
     search,
     unrank_candidate,
@@ -72,7 +62,6 @@ from .simulate import (
     dataset_digest,
     draw_bitvector,
     draw_bitvectors,
-    draw_urn_sample,
     draw_urn_samples,
     read_bits_dataset,
     read_model,
@@ -83,5 +72,22 @@ from .simulate import (
     write_urn_dataset,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public API, sorted; tests/test_api.py pins it.
+__all__ = [
+    "BitVectorTruth", "BitVectorsResult", "BitsConfig", "Candidate", "CapacityError",
+    "Categorical", "ConfigError", "DatasetParseError", "EstimatorConfig",
+    "ExpensiveSearchError", "ExperimentSpec", "FourUrnsResult", "Grouping", "KlCurve",
+    "RngState", "ScoredCandidate", "SearchConfig", "SearchSession", "SearchSettings",
+    "UrnConfig", "UrnSample", "UrnTruth", "average_curves", "bit_case_joint",
+    "build_bitvector_truth", "build_urn_truth", "candidate_count", "config_from_jsonable",
+    "dataset_digest", "default_checkpoints", "derive_seed", "draw_bitvector",
+    "draw_bitvectors", "draw_urn_samples", "em_two_type_many", "group_outcomes",
+    "in_truth_orbit", "independent_bits_estimate", "independent_bits_floor",
+    "joint_from_grouping", "joint_from_independent_bits", "kl_divergence", "next_u64",
+    "next_unit", "next_units", "read_bits_dataset", "read_curves_csv", "read_model",
+    "read_urn_dataset", "render_svg", "run_bitvectors", "run_experiment", "run_four_urns",
+    "search", "spec_from_jsonable", "spec_to_jsonable", "total_variation", "true_joint",
+    "unrank_candidate", "write_bits_dataset", "write_curves_csv", "write_model",
+    "write_urn_dataset",
+]
 __version__ = "0.1.0"

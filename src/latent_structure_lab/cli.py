@@ -21,14 +21,13 @@ from .estimate import (
     BIT_CASES,
     EstimatorConfig,
     bit_case_joint,
-    em_two_type,
+    em_two_type_many,
     independent_bits_estimate,
-    per_unit_mixture,
-    raw_tally_estimate,
+    mixture_rows,
 )
 from .experiment import ExpensiveSearchError, config_from_jsonable, spec_from_jsonable
 from .pipeline import run_experiment
-from .prob import CapacityError, TallyVector, kl_divergence
+from .prob import CapacityError, dirichlet_mean_rows, kl_divergence, kl_divergence_rows
 from .report import read_curves_csv, render_svg, write_svg
 from .rng import RngState
 from .search import (
@@ -125,18 +124,18 @@ def _estimate_urns(args: argparse.Namespace, truth: UrnTruth | None) -> dict:
         if not (0 <= s.urn_id < n_urns and 0 <= s.color < n_colors):
             raise UsageError(f"data: sample ({s.urn_id + 1}, {s.color + 1}) outside model range")
         counts[s.urn_id, s.color] += 1.0
-    tallies = [TallyVector(counts[i]) for i in range(n_urns)]
     cfg = EstimatorConfig()
     if args.case == "raw":
-        dists = raw_tally_estimate(tallies, cfg)
+        dists = dirichlet_mean_rows(counts, cfg.pseudocount)
     else:
-        dists = per_unit_mixture(em_two_type(tallies, cfg, args.seed))
+        q, resp = em_two_type_many(counts[None], cfg, [args.seed])
+        dists = mixture_rows(resp[0], q[0, 0], q[0, 1])
     if truth is not None:
-        kls = [kl_divergence(truth.urn_dist(i), dists[i]) for i in range(n_urns)]
+        kls = [float(kl_divergence_rows(truth.urn_dist(i), dists[i])) for i in range(n_urns)]
         for i, kl in enumerate(kls):
             _info(f"KL urn {i + 1}: {kl:.6f}")
         _info(f"KL total: {sum(kls):.6f}")
-    return {"case": args.case, "estimates": [d.to_list() for d in dists]}
+    return {"case": args.case, "estimates": dists.tolist()}
 
 
 def _estimate_bits(args: argparse.Namespace, truth: BitVectorTruth | None) -> dict:
@@ -205,7 +204,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         v=args.v,
         g=args.g,
         s=args.s,
-        num_types=args.types,
+        num_types=args.types if args.types is not None else (1 if args.mode == "case1" else 2),
         mode=args.mode,
         scorer="paper_plugin" if args.scorer == "paper" else "dirichlet_marginal",
         workers=args.workers,
@@ -285,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--types", type=int, default=2)
+    p.add_argument("--types", type=int, help="shared types (default: 1 for case1, 2 for case12)")
     p.add_argument("--mode", choices=("case1", "case12"), default="case12")
     p.add_argument("--scorer", choices=("paper", "marginal"), default="paper")
     p.add_argument("--workers", type=int, default=default_workers)

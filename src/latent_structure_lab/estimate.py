@@ -1,27 +1,26 @@
 """The estimator ladder: from raw smoothed tallies to two-type EM clustering.
 
-Every estimator consumes tallies (or raw bit-patterns) and emits smoothed
-Categorical estimates. The two-type estimator treats each unit (urn or
+Every estimator consumes count arrays (or raw bit-patterns) and emits
+smoothed probability rows. The two-type estimator treats each unit (urn or
 variable group) as drawn from one of two shared distributions and uses EM
 over soft type responsibilities.
 
-The EM objective recorded in traces is the observed-data log-likelihood
-plus the Dirichlet smoothing term matching the M-step's pseudocount. That
-is the quantity this EM provably never decreases; the bare data likelihood
-can dip when an update trades likelihood against smoothing.
+The EM objective is the observed-data log-likelihood plus the Dirichlet
+smoothing term matching the M-step's pseudocount. That is the quantity
+this EM provably never decreases; the bare data likelihood can dip when an
+update trades likelihood against smoothing.
 
 The EM runs on raw float arrays with one row per restart, each row with its
-own counts and stopping iteration. em_two_type runs one dataset's restarts
-side by side; em_two_type_many runs the rows of many datasets (the
-checkpoints of a run: noisy restarts, or one row refining a given start)
-in the same loop, in batches of at most _EM_BATCH_ROWS rows, and returns
-each dataset's winning row as arrays. Inputs are validated once, at entry;
-only em_two_type wraps its winner in Categoricals.
+own counts and stopping iteration. em_two_type_many runs the restarts of
+many datasets (the checkpoints of a run: noisy restarts, or one row
+refining a given start) in the same loop, in batches of at most
+_EM_BATCH_ROWS rows, and returns each dataset's winning row as arrays; one
+dataset is its (1, N, K) case. Inputs are validated once, at entry.
 
 Per-unit estimates are read out on arrays: mixture_rows mixes (..., K)
 type distributions by (..., N, 2) responsibilities, so a four-urns run
-forms every checkpoint's estimates at once, and per_unit_mixture is its
-one-result case. The raw estimate is prob.dirichlet_mean_rows.
+forms every checkpoint's estimates at once. The raw estimate is
+prob.dirichlet_mean_rows.
 
 The bit-vector ladder (BIT_CASES) is fitted in one place, fit_bit_case:
 c0 independent bits, c0p one bin per pattern, c13/c1 unrelated smoothed
@@ -48,8 +47,6 @@ from .prob import (
     CapacityError,
     Categorical,
     Grouping,
-    TallyVector,
-    dirichlet_mean,
     dirichlet_mean_rows,
     group_outcomes,
     joint_from_grouping_rows,
@@ -81,51 +78,6 @@ class EstimatorConfig:
             raise ValueError(f"em_init_noise must lie in [0, 1), got {self.em_init_noise!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class EmResult:
-    """Converged two-type EM state.
-
-    responsibilities[i] = (P(unit i is type a), P(type b)); rows sum to 1.
-    log_likelihood and trace record the EM objective described in the
-    module docstring; the trace covers the winning restart only.
-    """
-
-    q_a: Categorical
-    q_b: Categorical
-    responsibilities: np.ndarray
-    log_likelihood: float
-    iterations: int
-    restarts_used: int
-    trace: tuple[float, ...]
-    restart_objectives: tuple[float, ...] = ()
-
-    def to_jsonable(self) -> dict:
-        return {
-            "q_a": self.q_a.to_list(),
-            "q_b": self.q_b.to_list(),
-            "responsibilities": [[float(x) for x in row] for row in self.responsibilities],
-            "log_likelihood": self.log_likelihood,
-            "iterations": self.iterations,
-            "restarts_used": self.restarts_used,
-            "trace": list(self.trace),
-            "restart_objectives": list(self.restart_objectives),
-        }
-
-
-def raw_tally_estimate(tallies: Sequence[TallyVector], cfg: EstimatorConfig) -> list[Categorical]:
-    """Independent smoothed estimate per unit; the no-sharing baseline."""
-    return [dirichlet_mean(t, cfg.pseudocount) for t in tallies]
-
-
-def _counts_matrix(tallies: Sequence[TallyVector]) -> np.ndarray:
-    if len(tallies) == 0:
-        raise ValueError("need at least one tally vector")
-    k = tallies[0].k
-    if any(t.k != k for t in tallies):
-        raise ValueError("all tally vectors must share the same outcome count")
-    return np.stack([t.counts for t in tallies])
-
-
 def _em_m_step(counts: np.ndarray, resp: np.ndarray, pseudocount: float) -> np.ndarray:
     """(A, 2, K) smoothed type distributions from (A, N, K) counts and (A, N, 2) responsibilities.
 
@@ -140,24 +92,22 @@ def _em_m_step(counts: np.ndarray, resp: np.ndarray, pseudocount: float) -> np.n
 
 def _em_batch(
     counts: np.ndarray, q: np.ndarray, cfg: EstimatorConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run EM from each of the (A, 2, K) starts in q on its own (N, K) counts, all rows at once.
 
     counts is (A, N, K): one count matrix per row, so one batch can hold the
     restarts of several datasets. A row stops at its own iteration: once its
-    objective moves by less than em_tol, its objective, responsibilities,
-    distributions and trace freeze while the others go on. A row still
-    moving after em_max_iters M-steps gets one last E-step. Returns the
-    final q, the (A, N, 2) responsibilities, the (A,) objectives, the
-    (steps, A) objective traces and the (A,) iteration counts; row a's
-    trace is traces[:iterations[a], a].
+    objective moves by less than em_tol, its objective, responsibilities
+    and distributions freeze while the others go on. A row still moving
+    after em_max_iters M-steps gets one last E-step. Returns the final q,
+    the (A, N, 2) responsibilities, the (A,) objectives and the (A,)
+    iteration counts (E-steps run).
     """
     n_rows = q.shape[0]
     final_q = np.empty_like(q)
     final_resp = np.empty((n_rows, counts.shape[1], 2))
     final_obj = np.empty(n_rows)
     iterations = np.empty(n_rows, dtype=np.int64)
-    history: list[tuple[np.ndarray, np.ndarray]] = []
     live = np.arange(n_rows)
     prev = np.full(n_rows, np.nan)  # no row can stop at its first E-step
     for step in range(cfg.em_max_iters + 1):
@@ -172,7 +122,6 @@ def _em_batch(
             log_q[:, 0].sum(axis=1) + log_q[:, 1].sum(axis=1)
         )
         resp = shifted / norm[..., None]
-        history.append((live, obj))
         done = (np.abs(obj - prev) < cfg.em_tol) | (step == cfg.em_max_iters)
         if done.any():
             stop = live[done]
@@ -184,10 +133,7 @@ def _em_batch(
                 break
         prev = obj
         q = _em_m_step(counts, resp, cfg.pseudocount)
-    traces = np.empty((len(history), n_rows))
-    for step, (rows, values) in enumerate(history):
-        traces[step, rows] = values
-    return final_q, final_resp, final_obj, traces, iterations
+    return final_q, final_resp, final_obj, iterations
 
 
 # Rows (datasets x restarts) per _em_batch call in em_two_type_many. On the
@@ -213,24 +159,6 @@ def _restart_starts(counts: np.ndarray, cfg: EstimatorConfig, seeds: Sequence[in
     return (weights / weights.sum(axis=3, keepdims=True)).reshape(-1, 2, k)
 
 
-def _winner(q, resp, objectives, traces, iterations) -> EmResult:
-    """The EmResult of the first row with the strictly largest objective."""
-    best = int(np.argmax(objectives))
-    n_iter = int(iterations[best])
-    winner = np.array(resp[best])
-    winner.setflags(write=False)
-    return EmResult(
-        q_a=Categorical(q[best, 0]),
-        q_b=Categorical(q[best, 1]),
-        responsibilities=winner,
-        log_likelihood=float(objectives[best]),
-        iterations=n_iter,
-        restarts_used=len(objectives),
-        trace=tuple(traces[:n_iter, best].tolist()),
-        restart_objectives=tuple(objectives.tolist()),
-    )
-
-
 def _checked_init(init_responsibilities, shape: tuple[int, ...]) -> np.ndarray:
     """init_responsibilities as float64, checked to have `shape` and finite, nonnegative entries."""
     init = np.asarray(init_responsibilities, dtype=np.float64)
@@ -241,52 +169,27 @@ def _checked_init(init_responsibilities, shape: tuple[int, ...]) -> np.ndarray:
     return init
 
 
-def em_two_type(
-    tallies: Sequence[TallyVector],
-    cfg: EstimatorConfig,
-    seed: int,
-    init_responsibilities: np.ndarray | None = None,
-) -> EmResult:
-    """Two-type EM over per-unit tallies.
-
-    E-step: unit responsibilities from the type likelihoods under a uniform
-    1/2 class prior (log-sum-exp). M-step: each type's distribution is the
-    smoothed mean of the responsibility-weighted pooled tallies.
-
-    Runs cfg.em_restarts initializations (the pooled distribution with
-    multiplicative noise, renormalized) side by side on raw arrays and keeps
-    the best final objective; ties go to the earliest restart. When
-    init_responsibilities is given, that single hard/soft initialization is
-    refined instead. Inputs are validated here, once; only the winning
-    restart is wrapped in Categoricals.
-    """
-    counts = _counts_matrix(tallies)[None]
-    if init_responsibilities is None:
-        starts = _restart_starts(counts, cfg, [seed])
-        counts = np.repeat(counts, cfg.em_restarts, axis=0)
-    else:
-        resp = _checked_init(init_responsibilities, (counts.shape[1], 2))
-        starts = _em_m_step(counts, resp[None], cfg.pseudocount)
-    return _winner(*_em_batch(counts, starts, cfg))
-
-
 def em_two_type_many(
     counts: np.ndarray,
     cfg: EstimatorConfig,
     seeds: Sequence[int] | None = None,
     init_responsibilities: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """em_two_type over each (N, K) count matrix in counts (C, N, K), with seeds[c] for counts[c].
+    """Two-type EM over each (N, K) count matrix of counts (C, N, K): the units
+    are its N rows, and seeds[c] seeds dataset c's restarts.
 
-    Returns the winners' (C, 2, K) type distributions q (q[c, 0] is q_a)
-    and (C, N, 2) responsibilities, equal bit for bit to C em_two_type
-    calls from noisy restarts: each dataset keeps the first restart with
-    the largest objective. With (C, N, 2) init_responsibilities, dataset c
-    instead refines init_responsibilities[c], as em_two_type does, in one
-    row, and seeds are not used. The rows of several datasets share one
-    _em_batch call (at most _EM_BATCH_ROWS rows), each row with its own
-    counts and stopping iteration. Inputs are validated here, as
-    em_two_type's are.
+    E-step: unit responsibilities from the type likelihoods under a uniform
+    1/2 class prior (log-sum-exp). M-step: each type's distribution is the
+    smoothed mean of the responsibility-weighted pooled counts.
+
+    Each dataset runs cfg.em_restarts starts (its pooled distribution with
+    multiplicative noise, renormalized) and keeps the first restart with
+    the largest final objective. With (C, N, 2) init_responsibilities,
+    dataset c instead refines init_responsibilities[c] in one row, and
+    seeds are not used. Returns the winners' (C, 2, K) type distributions q
+    (q[c, 0] is type a) and (C, N, 2) responsibilities. The rows of several
+    datasets share one _em_batch call (at most _EM_BATCH_ROWS rows), each
+    row with its own counts and stopping iteration.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 3 or 0 in counts.shape[1:]:
@@ -309,27 +212,18 @@ def em_two_type_many(
             starts = _restart_starts(block, cfg, seeds[lo : lo + per_batch])
         else:
             starts = _em_m_step(block, init[lo : lo + per_batch], cfg.pseudocount)
-        block_q, block_resp, objectives, _, _ = _em_batch(np.repeat(block, restarts, axis=0), starts, cfg)
+        block_q, block_resp, objectives, _ = _em_batch(np.repeat(block, restarts, axis=0), starts, cfg)
         best = objectives.reshape(len(block), restarts).argmax(axis=1) + restarts * np.arange(len(block))
         q[lo : lo + len(block)], resp[lo : lo + len(block)] = block_q[best], block_resp[best]
     return q, resp
 
 
-def per_unit_mixture(result: EmResult, hard: bool = False) -> list[Categorical]:
-    """Per-unit estimates from an EM result.
-
-    Default is the responsibility-weighted mixture of the two type
-    distributions; hard=True snaps each unit to its most likely type.
-    """
-    rows = mixture_rows(result.responsibilities, result.q_a.weights, result.q_b.weights, hard)
-    return [Categorical(row) for row in rows]
-
-
 def mixture_rows(
     resp: np.ndarray, q_a: np.ndarray, q_b: np.ndarray, hard: bool = False
 ) -> np.ndarray:
-    """per_unit_mixture on arrays: (..., N, K) estimates from (..., N, 2)
-    responsibilities and (..., K) type distributions."""
+    """Per-unit estimates: (..., N, K) mixtures of the (..., K) type
+    distributions by the (..., N, 2) responsibilities. hard=True snaps each
+    unit to its most likely type, type a on ties."""
     q_a, q_b = q_a[..., None, :], q_b[..., None, :]
     if hard:
         return np.where(resp[..., :1] >= resp[..., 1:], q_a, q_b)
@@ -343,46 +237,9 @@ def independent_bits_estimate(patterns: Sequence[int], v: int, cfg: EstimatorCon
     return fit_bit_case("c0", patterns, [len(patterns)], v, cfg).factors[0]
 
 
-def joint_dirichlet_estimate(joint_tally: TallyVector, cfg: EstimatorConfig) -> Categorical:
-    """Smoothed estimate over the full outcome space (one bin per pattern)."""
-    k = joint_tally.k
-    if k & (k - 1) or k > (1 << 20):
-        raise ValueError(f"joint tally size must be a power of two <= 2**20, got {k}")
-    return dirichlet_mean(joint_tally, cfg.pseudocount)
-
-
-def group_tallies(patterns: Sequence[int], grouping: Grouping) -> list[TallyVector]:
-    """Per-group outcome tallies from projecting each pattern onto the grouping."""
-    cell = 1 << grouping.s
-    outcomes = group_outcomes(np.asarray(patterns, dtype=np.int64), grouping)
-    return [TallyVector.from_outcomes(outcomes[:, j], cell) for j in range(grouping.g)]
-
-
 def assignment_responsibilities(assignment: Sequence[str]) -> np.ndarray:
     """Hard (0/1) responsibility rows for a fixed a/b assignment."""
     return np.array([[1.0, 0.0] if lab == "a" else [0.0, 1.0] for lab in assignment])
-
-
-def grouped_known_estimate(
-    grouping: Grouping,
-    patterns: Sequence[int],
-    cfg: EstimatorConfig,
-    share_types: bool = False,
-    seed: int = 0,
-    init_assignment: Sequence[str] | None = None,
-) -> tuple[list[Categorical], EmResult | None]:
-    """Per-group estimates for a known (or hypothesized) grouping.
-
-    share_types=False treats the G groups as unrelated (smoothed tallies);
-    share_types=True pools them through the two-type EM and returns each
-    group's mixture estimate alongside the EM result.
-    """
-    tallies = group_tallies(patterns, grouping)
-    if not share_types:
-        return [dirichlet_mean(t, cfg.pseudocount) for t in tallies], None
-    init = assignment_responsibilities(init_assignment) if init_assignment is not None else None
-    result = em_two_type(tallies, cfg, seed, init_responsibilities=init)
-    return per_unit_mixture(result), result
 
 
 def checkpoint_counts(codes: np.ndarray, checkpoints: Sequence[int], k: int) -> np.ndarray:

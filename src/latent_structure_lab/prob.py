@@ -85,10 +85,12 @@ class Categorical:
 
 @dataclass(frozen=True, eq=False)
 class TallyVector:
-    """Outcome counts over K outcomes; the sufficient statistic everywhere.
+    """Checked outcome counts over K outcomes: one unit's tally as an object.
 
-    Counts are stored as float64 so that responsibility-weighted (fractional)
-    tallies share the type; integer tallies stay exact up to 2**53.
+    The estimators take (..., K) count arrays; this is their one-unit,
+    validated form. Counts are stored as float64 so that
+    responsibility-weighted (fractional) tallies share the type; integer
+    tallies stay exact up to 2**53.
     """
 
     counts: np.ndarray
@@ -106,14 +108,6 @@ class TallyVector:
     @property
     def k(self) -> int:
         return int(self.counts.size)
-
-    @staticmethod
-    def zeros(k: int) -> "TallyVector":
-        return TallyVector(np.zeros(k))
-
-    @staticmethod
-    def from_outcomes(outcomes, k: int) -> "TallyVector":
-        return TallyVector(np.bincount(np.asarray(outcomes, dtype=np.int64), minlength=k))
 
     def to_list(self) -> list[float]:
         return [float(x) for x in self.counts]
@@ -204,13 +198,9 @@ def _kl_rows(pw: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.array([np.dot(pw, row) for row in diff]).reshape(q.shape[:-1])
 
 
-def dirichlet_mean(t: TallyVector, pseudocount: float = 1.0) -> Categorical:
-    """Posterior mean under a symmetric Dirichlet prior with the given pseudocount."""
-    return Categorical(dirichlet_mean_rows(t.counts, pseudocount))
-
-
 def dirichlet_mean_rows(counts: np.ndarray, pseudocount: float = 1.0) -> np.ndarray:
-    """dirichlet_mean of each row of (..., K) counts, as a (..., K) array."""
+    """Posterior means under a symmetric Dirichlet prior with the given
+    pseudocount, one per row of (..., K) counts, as a (..., K) array."""
     if not pseudocount > 0.0:
         raise ValueError("pseudocount must be positive")
     k = counts.shape[-1]

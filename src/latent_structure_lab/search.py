@@ -57,7 +57,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimate import EstimatorConfig, bit_case_joint
 from .prob import CapacityError, Categorical, Grouping, group_outcomes
 
 logger = logging.getLogger(__name__)
@@ -108,6 +107,8 @@ class SearchConfig:
             raise ValueError(f"scorer must be one of {SCORERS}")
         if self.num_types not in (1, 2) or self.num_types > self.g:
             raise ValueError("num_types must be 1 or 2 and at most g")
+        if self.mode == "case1" and self.num_types != 1:
+            raise ValueError(f"num_types must be 1 in mode case1, got {self.num_types}")
         if self.workers < 1 or self.top_k < 1:
             raise ValueError("workers and top_k must be positive")
 
@@ -619,16 +620,6 @@ def search(
         )
         for i in order
     ]
-
-
-def estimate_from_candidate(
-    patterns: Sequence[int], candidate: Candidate, est_cfg: EstimatorConfig, seed: int = 0
-) -> Categorical:
-    """The joint of ladder case c1 (case1 candidates) or c12 (case12
-    candidates, whose assignment starts the two-type EM) fitted to the data."""
-    grouping, assignment = candidate.grouping, candidate.assignment
-    case = "c1" if assignment is None else "c12"
-    return bit_case_joint(case, patterns, grouping.v, est_cfg, grouping, assignment, seed)
 
 
 def in_truth_orbit(candidate: Candidate, truth_joint: Categorical) -> bool:

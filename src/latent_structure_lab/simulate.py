@@ -165,20 +165,14 @@ def build_urn_truth(config: UrnConfig, seed: int) -> UrnTruth:
     return UrnTruth(type_dists=dists, assignment=assignment, urn_weights=weights)
 
 
-def draw_urn_sample(truth: UrnTruth, rng: RngState) -> tuple[UrnSample, RngState]:
-    """Draw (urn, color); exactly two RNG advances."""
-    urn, rng = draw_index(truth.urn_weights.weights, rng)
-    color, rng = draw_index(truth.urn_dist(urn).weights, rng)
-    return UrnSample(urn_id=urn, color=color), rng
-
-
 def _inverse_cdf(weights: np.ndarray, units: np.ndarray) -> np.ndarray:
     """draw_index for many units: the same cumulative sums, clipped to the last index."""
     return np.minimum(np.searchsorted(np.cumsum(weights), units, side="right"), len(weights) - 1)
 
 
 def draw_urn_samples(truth: UrnTruth, rng: RngState, n: int) -> tuple[np.ndarray, RngState]:
-    """n draw_urn_sample calls at once: an (n, 2) array of (urn, color) rows."""
+    """n (urn, color) draws as an (n, 2) array; each row takes two unit draws,
+    the urn by inverse CDF of the urn weights and then the color within it."""
     units, rng = next_units(rng, 2 * n)
     units = units.reshape(n, 2)
     out = np.empty((n, 2), dtype=np.int64)

@@ -9,30 +9,36 @@ every (state, digit) pair with a dict of next states
 (`assert_enum_tables_match_oracle` compares a build with it byte for
 byte), and `oracle_tuple_tally` counts each tuple's outcomes with its own
 bincount.
+`em_fit` is not an oracle but a test helper: one dataset's two-type EM
+through the library's own restart starts and batched EM loop, keeping
+what `em_two_type_many` drops (every restart's objective and iteration
+count) so tests can compare them with a scalar EM; `em_objective_path`
+reads the objective after each of the first M-steps through it.
 `oracle_four_urns_single_run` likewise draws a four-urns run one sample at
-a time, fits each checkpoint with its own em_two_type call and reads it
-out through the scalar `oracle_dirichlet_mean`, `oracle_per_unit_mixture`
-and `oracle_kl_divergence`, one Categorical per urn.
-`oracle_bitvectors_single_run` fits every ladder case at every checkpoint
-on its own, through the object-level estimators, and builds each joint by
-a per-pattern gather (`oracle_joint_from_grouping`).
+a time (`oracle_draw_urn_sample`), fits each checkpoint with its own
+`em_fit` call and reads it out through the scalar `oracle_dirichlet_mean`,
+`oracle_per_unit_mixture` and `oracle_kl_divergence`, one Categorical per
+urn. `oracle_bitvectors_single_run` fits every ladder case at every
+checkpoint on its own, from per-group `TallyVector`s (`oracle_bit_case_joint`),
+and builds each joint by a per-pattern gather (`oracle_joint_from_grouping`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from dataclasses import replace
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from latent_structure_lab.estimate import (
     BIT_CASES,
-    EmResult,
     EstimatorConfig,
-    em_two_type,
-    grouped_known_estimate,
-    joint_dirichlet_estimate,
+    _em_batch,
+    _em_m_step,
+    _restart_starts,
+    assignment_responsibilities,
 )
 from latent_structure_lab.experiment import (
     BitVectorsRun,
@@ -50,7 +56,7 @@ from latent_structure_lab.prob import (
     TallyVector,
     group_outcomes,
 )
-from latent_structure_lab.rng import RngState, derive_seed
+from latent_structure_lab.rng import RngState, derive_seed, draw_index
 from latent_structure_lab.search import (
     Candidate,
     SearchConfig,
@@ -63,10 +69,11 @@ from latent_structure_lab.search import (
     unrank_candidate,
 )
 from latent_structure_lab.simulate import (
+    UrnSample,
+    UrnTruth,
     build_bitvector_truth,
     build_urn_truth,
     draw_bitvector,
-    draw_urn_sample,
     true_joint,
 )
 
@@ -90,7 +97,53 @@ def oracle_dirichlet_mean(t: TallyVector, pseudocount: float = 1.0) -> Categoric
     return Categorical((t.counts + pseudocount) / (t.total + t.k * pseudocount))
 
 
-def oracle_per_unit_mixture(result: EmResult, hard: bool = False) -> list[Categorical]:
+class EmFit(NamedTuple):
+    """One dataset's two-type EM: the winning restart, then every restart's
+    final objective and iteration count (E-steps run)."""
+
+    q_a: Categorical
+    q_b: Categorical
+    responsibilities: np.ndarray
+    log_likelihood: float
+    iterations: int
+    restart_objectives: tuple[float, ...]
+    restart_iterations: tuple[int, ...]
+
+
+def em_fit(counts, cfg: EstimatorConfig, seed: int, init_responsibilities=None) -> EmFit:
+    """The library EM on one (N, K) count matrix, as em_two_type_many runs a
+    dataset: cfg.em_restarts noisy starts seeded by `seed`, or one row
+    refining init_responsibilities; the first largest objective wins."""
+    counts = np.asarray(counts, dtype=np.float64)[None]
+    if init_responsibilities is None:
+        starts = _restart_starts(counts, cfg, [seed])
+        counts = np.repeat(counts, cfg.em_restarts, axis=0)
+    else:
+        init = np.asarray(init_responsibilities, dtype=np.float64)
+        starts = _em_m_step(counts, init[None], cfg.pseudocount)
+    q, resp, objectives, iterations = _em_batch(counts, starts, cfg)
+    best = int(np.argmax(objectives))
+    return EmFit(
+        Categorical(q[best, 0]),
+        Categorical(q[best, 1]),
+        resp[best],
+        float(objectives[best]),
+        int(iterations[best]),
+        tuple(objectives.tolist()),
+        tuple(iterations.tolist()),
+    )
+
+
+def em_objective_path(counts, cfg: EstimatorConfig, init_responsibilities, steps: int) -> np.ndarray:
+    """The library EM's objective after 1, ..., steps M-steps from one start:
+    em_fit refining init_responsibilities with em_max_iters = 1, ..., steps."""
+    return np.array([
+        em_fit(counts, replace(cfg, em_max_iters=m), 0, init_responsibilities).log_likelihood
+        for m in range(1, steps + 1)
+    ])
+
+
+def oracle_per_unit_mixture(result: EmFit, hard: bool = False) -> list[Categorical]:
     """Per-unit mixture (or, hard=True, most likely type) of an EM result, one unit at a time."""
     out = []
     for row in result.responsibilities:
@@ -451,9 +504,16 @@ def score_candidate_marginal(patterns: Sequence[int], candidate: Candidate, cfg:
 # ---------------------------------------------------------------------------
 
 
+def oracle_draw_urn_sample(truth: UrnTruth, rng: RngState) -> tuple[UrnSample, RngState]:
+    """Draw (urn, color) by two scalar inverse-CDF draws; exactly two RNG advances."""
+    urn, rng = draw_index(truth.urn_weights.weights, rng)
+    color, rng = draw_index(truth.urn_dist(urn).weights, rng)
+    return UrnSample(urn_id=urn, color=color), rng
+
+
 def oracle_four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrnsRun:
     """The streaming four-urns run: scalar draws, tallies updated in place,
-    and one em_two_type call whenever the stream reaches a checkpoint."""
+    and one em_fit call whenever the stream reaches a checkpoint."""
     run_seed = derive_seed(spec.base_seed, run_index)
     truth = build_urn_truth(spec.urn_config, _truth_seed(spec, run_seed))
     rng = RngState(derive_seed(run_seed, 2))
@@ -469,7 +529,7 @@ def oracle_four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrn
     def evaluate(checkpoint_index: int) -> None:
         tallies = [TallyVector(counts[i]) for i in range(n_urns)]
         raw_est = [oracle_dirichlet_mean(t, spec.estimator.pseudocount) for t in tallies]
-        em = em_two_type(tallies, spec.estimator, derive_seed(run_seed, 1000 + checkpoint_index))
+        em = em_fit(counts, spec.estimator, derive_seed(run_seed, 1000 + checkpoint_index))
         ours_est = oracle_per_unit_mixture(em)
         raw_rows.append([oracle_kl_divergence(truths[i], raw_est[i]) for i in range(n_urns)])
         ours_rows.append([oracle_kl_divergence(truths[i], ours_est[i]) for i in range(n_urns)])
@@ -483,7 +543,7 @@ def oracle_four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrn
         evaluate(0)
         next_cp = None
     for t in range(1, spec.n_samples + 1):
-        sample, rng = draw_urn_sample(truth, rng)
+        sample, rng = oracle_draw_urn_sample(truth, rng)
         counts[sample.urn_id, sample.color] += 1.0
         if sample.urn_id == 0:
             urn1_samples.append(t)
@@ -523,7 +583,7 @@ def oracle_bit_case_joint(
     assignment: Sequence[str] | None,
     seed: int,
 ) -> Categorical:
-    """Ladder case `case` fitted to the patterns through the object-level estimators."""
+    """Ladder case `case` fitted to the patterns from one tally per group (or pattern)."""
     arr = np.asarray(patterns, dtype=np.int64)
     if case == "c0":
         ones = ((arr[:, None] >> (v - 1 - np.arange(v))) & 1).sum(axis=0)
@@ -531,9 +591,14 @@ def oracle_bit_case_joint(
         pairs = [np.array([1.0 - p, p]) for p in probs]
         return Categorical(oracle_joint_from_grouping(Grouping.identity(v, 1), pairs))
     if case == "c0p":
-        return joint_dirichlet_estimate(TallyVector(np.bincount(arr, minlength=1 << v)), cfg)
-    share = case in ("c123", "c12")
-    dists, _ = grouped_known_estimate(grouping, arr, cfg, share, seed=seed, init_assignment=assignment)
+        return oracle_dirichlet_mean(TallyVector(np.bincount(arr, minlength=1 << v)), cfg.pseudocount)
+    outcomes = group_outcomes(arr, grouping)
+    tallies = [TallyVector(np.bincount(outcomes[:, j], minlength=1 << grouping.s)) for j in range(grouping.g)]
+    if case in ("c13", "c1"):
+        dists = [oracle_dirichlet_mean(t, cfg.pseudocount) for t in tallies]
+    else:
+        init = None if assignment is None else assignment_responsibilities(assignment)
+        dists = oracle_per_unit_mixture(em_fit(np.stack([t.counts for t in tallies]), cfg, seed, init))
     return Categorical(oracle_joint_from_grouping(grouping, [d.weights for d in dists]))
 
 

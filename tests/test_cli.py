@@ -212,6 +212,19 @@ class TestSearchCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_case1_types_follow_mode(self, bits_setup, tmp_path):
+        _, data = bits_setup
+        out = tmp_path / "c1.json"
+        argv = ["search", "--data", str(data), "--v", "6", "--g", "2", "--s", "3", "--mode", "case1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["num_types"] == 1
+
+    def test_case1_with_two_types_exits_2(self, bits_setup, capsys):
+        _, data = bits_setup
+        argv = ["search", "--data", str(data), "--v", "6", "--g", "2", "--s", "3", "--mode", "case1"]
+        assert main(argv + ["--types", "2"]) == 2
+        assert "num_types must be 1 in mode case1" in capsys.readouterr().err
+
     def test_wrong_width_exits_2(self, bits_setup):
         _, data = bits_setup
         assert main(["search", "--data", str(data), "--v", "12", "--g", "4", "--s", "3"]) == 2

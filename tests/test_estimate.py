@@ -9,43 +9,45 @@ from latent_structure_lab.estimate import (
     EstimatorConfig,
     assignment_responsibilities,
     bit_case_joint,
-    em_two_type,
     em_two_type_many,
     fit_bit_case,
-    group_tallies,
-    grouped_known_estimate,
     independent_bits_estimate,
-    joint_dirichlet_estimate,
     mixture_rows,
-    per_unit_mixture,
-    raw_tally_estimate,
 )
 from latent_structure_lab.prob import (
+    CapacityError,
     Categorical,
     Grouping,
     TallyVector,
-    dirichlet_mean,
-    joint_from_grouping,
+    dirichlet_mean_rows,
+    group_outcomes,
     joint_from_independent_bits,
     kl_divergence,
+    kl_divergence_rows,
 )
 from latent_structure_lab.rng import RngState, derive_seed, next_unit
 from latent_structure_lab.simulate import BitsConfig, build_bitvector_truth, draw_bitvector
-from oracles import log_likelihood, oracle_per_unit_mixture
+from oracles import (
+    em_fit,
+    em_objective_path,
+    log_likelihood,
+    oracle_bit_case_joint,
+    oracle_dirichlet_mean,
+    oracle_per_unit_mixture,
+)
 
 CFG = EstimatorConfig()
 
 
-def brute_force_two_type(tallies, pseudocount=1.0):
+def brute_force_two_type(counts, pseudocount=1.0):
     """Oracle: best hard assignment by complete-data likelihood, then one M-step."""
     best = None
-    for labels in itertools.product((0, 1), repeat=len(tallies)):
-        pooled = [TallyVector.zeros(tallies[0].k), TallyVector.zeros(tallies[0].k)]
-        for lab, t in zip(labels, tallies):
-            pooled[lab] = TallyVector(pooled[lab].counts + t.counts)
-        qs = [dirichlet_mean(p, pseudocount) for p in pooled]
+    for labels in itertools.product((0, 1), repeat=len(counts)):
+        mask = np.array(labels) == 1
+        pooled = [TallyVector(counts[~mask].sum(axis=0)), TallyVector(counts[mask].sum(axis=0))]
+        qs = [oracle_dirichlet_mean(p, pseudocount) for p in pooled]
         ll = sum(
-            math.log(0.5) + log_likelihood(t, qs[lab]) for lab, t in zip(labels, tallies)
+            math.log(0.5) + log_likelihood(TallyVector(row), qs[lab]) for lab, row in zip(labels, counts)
         )
         if best is None or ll > best[0]:
             best = (ll, labels, qs)
@@ -67,7 +69,7 @@ def _oracle_objective_and_resp(counts, q_a, q_b, pseudocount):
 def _oracle_m_step(counts, resp, pseudocount):
     pooled_a = TallyVector(resp[:, 0] @ counts)
     pooled_b = TallyVector(resp[:, 1] @ counts)
-    return dirichlet_mean(pooled_a, pseudocount), dirichlet_mean(pooled_b, pseudocount)
+    return oracle_dirichlet_mean(pooled_a, pseudocount), oracle_dirichlet_mean(pooled_b, pseudocount)
 
 
 def _oracle_run(counts, q_a, q_b, cfg):
@@ -97,15 +99,15 @@ def _oracle_perturbed(pooled, noise, rng):
     return Categorical.normalized(pooled.weights * np.asarray(factors)), rng
 
 
-def oracle_em_two_type(tallies, cfg, seed, init_responsibilities=None):
-    """Oracle: the object-based, one-restart-at-a-time two-type EM.
+def oracle_em_two_type(counts, cfg, seed, init_responsibilities=None):
+    """Oracle: the object-based, one-restart-at-a-time two-type EM over the
+    rows of an (N, K) count matrix.
 
     Returns (q_a, q_b, responsibilities, objective, iterations, trace) of
     the first restart with the strictly largest final objective, then the
     final objective and the iteration count of every restart.
     """
-    counts = np.stack([t.counts for t in tallies])
-    pooled = dirichlet_mean(TallyVector(counts.sum(axis=0)), cfg.pseudocount)
+    pooled = oracle_dirichlet_mean(TallyVector(counts.sum(axis=0)), cfg.pseudocount)
     starts = []
     if init_responsibilities is not None:
         resp = np.asarray(init_responsibilities, dtype=np.float64)
@@ -126,6 +128,12 @@ def oracle_em_two_type(tallies, cfg, seed, init_responsibilities=None):
     return (*best, [run[3] for run in runs], [run[4] for run in runs])
 
 
+def em_one(counts, seed, cfg=CFG):
+    """em_two_type_many on one (N, K) dataset: its (q_a, q_b, responsibilities)."""
+    q, resp = em_two_type_many(np.asarray(counts, dtype=np.float64)[None], cfg, [seed])
+    return q[0, 0], q[0, 1], resp[0]
+
+
 def draw_patterns(truth, seed, n):
     rng = RngState(seed)
     out = []
@@ -136,119 +144,97 @@ def draw_patterns(truth, seed, n):
 
 
 class TestRawTallyEstimate:
+    """The raw estimate: each unit's own Dirichlet mean (prob.dirichlet_mean_rows)."""
+
     def test_all_zero_tallies(self):
-        ests = raw_tally_estimate([TallyVector.zeros(8) for _ in range(4)], CFG)
-        for est in ests:
-            np.testing.assert_allclose(est.weights, 0.125)
+        np.testing.assert_allclose(dirichlet_mean_rows(np.zeros((4, 8)), CFG.pseudocount), 0.125)
 
     def test_single_urn_formula(self):
-        est = raw_tally_estimate([TallyVector(np.array([10.0] + [0.0] * 7))], CFG)[0]
-        np.testing.assert_allclose(est.weights, [11 / 18] + [1 / 18] * 7)
+        est = dirichlet_mean_rows(np.array([[10.0] + [0.0] * 7]), CFG.pseudocount)[0]
+        np.testing.assert_allclose(est, [11 / 18] + [1 / 18] * 7)
 
 
 class TestEmTwoType:
+    """Two-type EM on one dataset, through em_two_type_many or the em_fit helper."""
+
     def test_recovers_hard_split(self):
-        tallies = [TallyVector(np.array([100.0, 0.0])), TallyVector(np.array([0.0, 100.0]))]
-        result = em_two_type(tallies, CFG, seed=13)
-        oracle_ll, oracle_labels, oracle_qs = brute_force_two_type(tallies)
+        counts = np.array([[100.0, 0.0], [0.0, 100.0]])
+        q_a, q_b, resp = em_one(counts, seed=13)
+        oracle_ll, oracle_labels, oracle_qs = brute_force_two_type(counts)
         assert oracle_labels in ((0, 1), (1, 0))
-        resp = result.responsibilities
         # hard split up to the a/b label swap
         split = max(resp[0, 0], resp[0, 1])
         assert split > 1 - 1e-6
         assert abs(resp[0, 0] - resp[1, 0]) > 1 - 1e-6
-        for q in (result.q_a, result.q_b):
-            assert q.weights.max() >= 0.98
+        for q in (q_a, q_b):
+            assert q.max() >= 0.98
         # mixture estimates agree with the oracle's per-unit types
-        mix = per_unit_mixture(result)
+        mix = mixture_rows(resp, q_a, q_b)
         for i, unit_mix in enumerate(mix):
             want = oracle_qs[oracle_labels[i]].weights
-            np.testing.assert_allclose(unit_mix.weights, want, atol=1e-6)
+            np.testing.assert_allclose(unit_mix, want, atol=1e-6)
 
     def test_identical_tallies_collapse_to_symmetric_point(self):
         # With every unit identical the symmetric fixed point attracts: both
         # types converge to the smoothed mean of half the pooled tallies.
-        tallies = [TallyVector(np.array([30.0, 10.0]))] * 4
-        result = em_two_type(tallies, CFG, seed=3)
-        assert np.abs(result.q_a.weights - result.q_b.weights).max() < 1e-6
-        half = dirichlet_mean(TallyVector(np.array([60.0, 20.0])), 1.0)
-        assert np.abs(result.q_a.weights - half.weights).max() < 1e-6
+        q_a, q_b, _ = em_one(np.tile([30.0, 10.0], (4, 1)), seed=3)
+        assert np.abs(q_a - q_b).max() < 1e-6
+        half = dirichlet_mean_rows(np.array([60.0, 20.0]), 1.0)
+        assert np.abs(q_a - half).max() < 1e-6
 
     def test_single_unit_mixture_equals_pooled_mean(self):
-        tallies = [TallyVector(np.array([100.0, 0.0]))]
-        result = em_two_type(tallies, CFG, seed=2)
-        mix = per_unit_mixture(result)[0]
-        pooled = dirichlet_mean(tallies[0], 1.0)
-        assert np.abs(mix.weights - pooled.weights).max() < 1e-9
+        counts = np.array([[100.0, 0.0]])
+        q_a, q_b, resp = em_one(counts, seed=2)
+        mix = mixture_rows(resp, q_a, q_b)[0]
+        pooled = dirichlet_mean_rows(counts[0], 1.0)
+        assert np.abs(mix - pooled).max() < 1e-9
 
     def test_requires_data(self):
-        with pytest.raises(ValueError):
-            em_two_type([], CFG, seed=1)
+        for counts in (np.zeros((1, 0, 8)), np.zeros((1, 4, 0))):
+            with pytest.raises(ValueError):
+                em_two_type_many(counts, CFG, [1])
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(8)
-        tallies = [TallyVector(rng.integers(0, 30, 8).astype(float)) for _ in range(4)]
-        a = em_two_type(tallies, CFG, seed=55)
-        b = em_two_type(tallies, CFG, seed=55)
-        assert a.log_likelihood == b.log_likelihood
-        np.testing.assert_array_equal(a.responsibilities, b.responsibilities)
+        counts = rng.integers(0, 30, (4, 8)).astype(float)
+        for a, b in zip(em_one(counts, seed=55), em_one(counts, seed=55)):
+            np.testing.assert_array_equal(bits(a), bits(b))
 
     def test_trace_monotone_and_rows_normalized(self):
         rng = np.random.default_rng(123)
         for _ in range(100):
             n_units = int(rng.integers(2, 6))
             k = int(rng.integers(2, 9))
-            tallies = [
-                TallyVector(rng.integers(0, 40, size=k).astype(float)) for _ in range(n_units)
-            ]
-            result = em_two_type(tallies, CFG, seed=int(rng.integers(1 << 30)))
-            trace = np.asarray(result.trace)
-            assert np.all(np.diff(trace) >= -1e-8)
-            np.testing.assert_allclose(result.responsibilities.sum(axis=1), 1.0, atol=1e-9)
+            counts = rng.integers(0, 40, size=(n_units, k)).astype(float)
+            path = em_objective_path(counts, CFG, rng.random((n_units, 2)), 8)
+            assert np.all(np.diff(path) >= -1e-8)
+            resp = em_one(counts, seed=int(rng.integers(1 << 30)))[2]
+            np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-9)
 
     def test_label_swap_symmetry(self):
         rng = np.random.default_rng(5)
-        tallies = [TallyVector(rng.integers(0, 25, 6).astype(float)) for _ in range(4)]
-        result = em_two_type(tallies, CFG, seed=1)
-        counts = np.stack([t.counts for t in tallies])
+        counts = rng.integers(0, 25, (4, 6)).astype(float)
+        result = em_fit(counts, CFG, seed=1)
         obj, _ = _oracle_objective_and_resp(counts, result.q_a, result.q_b, CFG.pseudocount)
         swapped_obj, _ = _oracle_objective_and_resp(
             counts, result.q_b, result.q_a, CFG.pseudocount
         )
         assert abs(obj - swapped_obj) <= 1e-12
 
-        mix = per_unit_mixture(result)
-        swapped = per_unit_mixture(
-            type(result)(
-                q_a=result.q_b,
-                q_b=result.q_a,
-                responsibilities=result.responsibilities[:, ::-1],
-                log_likelihood=result.log_likelihood,
-                iterations=result.iterations,
-                restarts_used=result.restarts_used,
-                trace=result.trace,
-            )
-        )
-        for m, s in zip(mix, swapped):
-            assert np.abs(m.weights - s.weights).max() <= 1e-12
-
-    def test_jsonable(self):
-        result = em_two_type([TallyVector(np.array([3.0, 1.0]))], CFG, seed=0)
-        payload = result.to_jsonable()
-        assert set(payload) >= {
-            "q_a", "q_b", "responsibilities", "trace", "iterations", "restart_objectives"
-        }
-        assert payload["restart_objectives"] == list(result.restart_objectives)
+        q_a, q_b, resp = result.q_a.weights, result.q_b.weights, result.responsibilities
+        mix = mixture_rows(resp, q_a, q_b)
+        swapped = mixture_rows(resp[:, ::-1], q_b, q_a)
+        assert np.abs(mix - swapped).max() <= 1e-12
 
     @pytest.mark.parametrize("restarts", (1, 3, 7))
     def test_restart_objectives_spread(self, restarts):
         rng = np.random.default_rng(restarts)
-        tallies = [TallyVector(rng.integers(0, 30, 8).astype(float)) for _ in range(5)]
-        result = em_two_type(tallies, EstimatorConfig(em_restarts=restarts), seed=9)
-        assert len(result.restart_objectives) == result.restarts_used == restarts
+        counts = rng.integers(0, 30, (5, 8)).astype(float)
+        result = em_fit(counts, EstimatorConfig(em_restarts=restarts), seed=9)
+        assert len(result.restart_objectives) == restarts
         assert max(result.restart_objectives) == result.log_likelihood
         init = assignment_responsibilities("ababa")
-        seeded = em_two_type(tallies, CFG, seed=9, init_responsibilities=init)
+        seeded = em_fit(counts, CFG, seed=9, init_responsibilities=init)
         assert seeded.restart_objectives == (seeded.log_likelihood,)
 
     @pytest.mark.parametrize("noise", (1.0, 1.5, -0.01, math.nan))
@@ -271,30 +257,28 @@ class TestEmTwoType:
     def test_rejects_bad_init_responsibilities_at_entry(self, bad):
         # The unit with the bad row has no counts, so no pooled tally goes
         # negative: the check must look at the rows themselves.
-        tallies = [TallyVector(np.array([5.0, 1.0])), TallyVector(np.zeros(2))]
-        for seed in range(5):
-            with pytest.raises(ValueError, match="finite and nonnegative"):
-                em_two_type(tallies, CFG, seed, init_responsibilities=np.array(bad))
+        counts = np.array([[[5.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            em_two_type_many(counts, CFG, init_responsibilities=np.array([bad]))
 
 
 def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
-def assert_matches_oracle(tallies, cfg, seed, init=None):
-    """em_two_type equals the oracle bit for bit; returns per-restart iterations."""
-    result = em_two_type(tallies, cfg, seed, init_responsibilities=init)
-    q_a, q_b, resp, objective, iterations, trace, finals, restart_iters = oracle_em_two_type(
-        tallies, cfg, seed, init
+def assert_matches_oracle(counts, cfg, seed, init=None):
+    """The library EM (em_fit) equals the oracle bit for bit; returns per-restart iterations."""
+    result = em_fit(counts, cfg, seed, init_responsibilities=init)
+    q_a, q_b, resp, objective, iterations, _, finals, restart_iters = oracle_em_two_type(
+        counts, cfg, seed, init
     )
     np.testing.assert_array_equal(bits(result.q_a.weights), bits(q_a.weights))
     np.testing.assert_array_equal(bits(result.q_b.weights), bits(q_b.weights))
     np.testing.assert_array_equal(bits(result.responsibilities), bits(resp))
     assert bits(result.log_likelihood) == bits(objective)
     assert result.iterations == iterations
-    assert result.trace == tuple(trace)
     np.testing.assert_array_equal(bits(result.restart_objectives), bits(finals))
-    assert result.restarts_used == len(finals)
+    assert result.restart_iterations == tuple(restart_iters)
     return restart_iters
 
 
@@ -309,51 +293,51 @@ class TestEmMatchesOracle:
         for max_iters in (1, 2, 3, 7, 500):
             for _ in range(3):
                 scale = int(rng.choice((3, 30, 300)))
-                tallies = [
-                    TallyVector(rng.integers(0, scale, size=k).astype(float))
-                    for _ in range(n_units)
-                ]
+                counts = rng.integers(0, scale, size=(n_units, k)).astype(float)
                 cfg = EstimatorConfig(
                     em_max_iters=max_iters, em_restarts=int(rng.integers(1, 8))
                 )
-                iters = assert_matches_oracle(tallies, cfg, int(rng.integers(1 << 40)))
+                iters = assert_matches_oracle(counts, cfg, int(rng.integers(1 << 40)))
                 staggered += len(set(iters)) > 1
                 soft = rng.random((n_units, 2))
-                assert_matches_oracle(tallies, cfg, 0, init=soft)
+                assert_matches_oracle(counts, cfg, 0, init=soft)
                 hard = assignment_responsibilities(rng.choice(("a", "b"), n_units))
-                assert_matches_oracle(tallies, cfg, 0, init=hard)
+                assert_matches_oracle(counts, cfg, 0, init=hard)
         if n_units > 1:
             assert staggered > 0
 
     def test_restarts_stop_at_different_iterations(self):
         rng = np.random.default_rng(77)
-        tallies = [TallyVector(rng.integers(0, 40, size=8).astype(float)) for _ in range(5)]
-        iters = assert_matches_oracle(tallies, EstimatorConfig(em_restarts=7), seed=3)
+        counts = rng.integers(0, 40, size=(5, 8)).astype(float)
+        iters = assert_matches_oracle(counts, EstimatorConfig(em_restarts=7), seed=3)
         assert len(set(iters)) > 1
 
     def test_single_iteration_adds_tail_e_step(self):
         rng = np.random.default_rng(78)
-        tallies = [TallyVector(rng.integers(0, 40, size=8).astype(float)) for _ in range(4)]
-        iters = assert_matches_oracle(tallies, EstimatorConfig(em_max_iters=1), seed=4)
+        counts = rng.integers(0, 40, size=(4, 8)).astype(float)
+        iters = assert_matches_oracle(counts, EstimatorConfig(em_max_iters=1), seed=4)
         assert iters == [2] * 5
 
     def test_strided_init_responsibilities(self):
         rng = np.random.default_rng(79)
-        tallies = [TallyVector(rng.integers(0, 40, size=8).astype(float)) for _ in range(6)]
+        counts = rng.integers(0, 40, size=(6, 8)).astype(float)
         init = np.asfortranarray(rng.random((6, 2)))
-        assert_matches_oracle(tallies, CFG, 0, init=init)
-        assert_matches_oracle(tallies, CFG, 0, init=rng.random((6, 4))[:, ::2])
+        assert_matches_oracle(counts, CFG, 0, init=init)
+        assert_matches_oracle(counts, CFG, 0, init=rng.random((6, 4))[:, ::2])
+        # The public entry point takes strided rows too.
+        q, resp = em_two_type_many(counts[None], CFG, init_responsibilities=init[None])
+        assert_winners_equal(q[0], resp[0], em_fit(counts, CFG, 0, init_responsibilities=init))
 
 
 def assert_winners_equal(q, resp, want):
-    """em_two_type_many's winner arrays for one dataset equal an EmResult bit for bit."""
+    """em_two_type_many's winner arrays for one dataset equal an EmFit bit for bit."""
     np.testing.assert_array_equal(bits(q[0]), bits(want.q_a.weights))
     np.testing.assert_array_equal(bits(q[1]), bits(want.q_b.weights))
     np.testing.assert_array_equal(bits(resp), bits(want.responsibilities))
 
 
 class TestEmManyMatchesSingleCalls:
-    """em_two_type_many's winners equal one em_two_type call per dataset, across batch boundaries."""
+    """em_two_type_many's winners equal one single-dataset EM per dataset, across batch boundaries."""
 
     @pytest.mark.parametrize("max_iters", (1, 2, 500))
     @pytest.mark.parametrize("restarts", (1, 3, 5, 7))
@@ -368,8 +352,7 @@ class TestEmManyMatchesSingleCalls:
         q, resp = em_two_type_many(counts, cfg, seeds)
         assert q.shape == (n_sets, 2, 8) and resp.shape == (n_sets, 4, 2)
         for c in range(n_sets):
-            tallies = [TallyVector(row) for row in counts[c]]
-            assert_winners_equal(q[c], resp[c], em_two_type(tallies, cfg, seeds[c]))
+            assert_winners_equal(q[c], resp[c], em_fit(counts[c], cfg, seeds[c]))
 
     @pytest.mark.parametrize("max_iters", (1, 2, 500))
     def test_init_responsibilities_crossing_batches(self, max_iters):
@@ -381,8 +364,7 @@ class TestEmManyMatchesSingleCalls:
         cfg = EstimatorConfig(em_max_iters=max_iters)
         q, resp = em_two_type_many(counts, cfg, init_responsibilities=init)
         for c in range(n_sets):
-            tallies = [TallyVector(row) for row in counts[c]]
-            assert_winners_equal(q[c], resp[c], em_two_type(tallies, cfg, 0, init_responsibilities=init[c]))
+            assert_winners_equal(q[c], resp[c], em_fit(counts[c], cfg, 0, init_responsibilities=init[c]))
 
     @pytest.mark.parametrize("init", (np.ones((2, 4, 3)), np.ones((1, 4, 2)), -np.ones((2, 4, 2))))
     def test_rejects_bad_init_responsibilities(self, init):
@@ -416,42 +398,30 @@ class TestEmManyMatchesSingleCalls:
         with pytest.raises(ValueError):
             em_two_type_many(counts, CFG, seeds)
 
-
 class TestPerUnitMixture:
+    """mixture_rows reads per-unit estimates out of an EM winner."""
+
     def _result(self):
-        return em_two_type(
-            [TallyVector(np.array([50.0, 0.0])), TallyVector(np.array([0.0, 50.0]))],
-            CFG,
-            seed=4,
-        )
+        return em_fit(np.array([[50.0, 0.0], [0.0, 50.0]]), CFG, seed=4)
 
     def test_pure_responsibility_returns_type(self):
         result = self._result()
-        mix = per_unit_mixture(result)
+        mix = mixture_rows(result.responsibilities, result.q_a.weights, result.q_b.weights)
         lead = result.q_a if result.responsibilities[0, 0] > 0.5 else result.q_b
-        np.testing.assert_allclose(mix[0].weights, lead.weights, atol=1e-12)
+        np.testing.assert_allclose(mix[0], lead.weights, atol=1e-12)
 
     def test_even_responsibility_averages(self):
         result = self._result()
-        fake = type(result)(
-            q_a=result.q_a,
-            q_b=result.q_b,
-            responsibilities=np.array([[0.5, 0.5]]),
-            log_likelihood=0.0,
-            iterations=1,
-            restarts_used=1,
-            trace=(0.0,),
-        )
-        mix = per_unit_mixture(fake)[0]
+        mix = mixture_rows(np.array([[0.5, 0.5]]), result.q_a.weights, result.q_b.weights)[0]
         np.testing.assert_allclose(
-            mix.weights, 0.5 * (result.q_a.weights + result.q_b.weights), atol=1e-15
+            mix, 0.5 * (result.q_a.weights + result.q_b.weights), atol=1e-15
         )
 
     def test_hard_readout(self):
         result = self._result()
-        hard = per_unit_mixture(result, hard=True)
+        hard = mixture_rows(result.responsibilities, result.q_a.weights, result.q_b.weights, hard=True)
         assert all(
-            np.array_equal(h.weights, (result.q_a if r[0] >= r[1] else result.q_b).weights)
+            np.array_equal(h, (result.q_a if r[0] >= r[1] else result.q_b).weights)
             for h, r in zip(hard, result.responsibilities)
         )
 
@@ -461,16 +431,14 @@ class TestPerUnitMixture:
         results = []
         for seed in range(5):
             counts = rng.integers(0, 30, size=(4, 8)).astype(np.float64)
-            results.append(em_two_type([TallyVector(row) for row in counts], CFG, seed))
+            results.append(em_fit(counts, CFG, seed))
         resp = np.stack([r.responsibilities for r in results])
         q_a = np.stack([r.q_a.weights for r in results])
         q_b = np.stack([r.q_b.weights for r in results])
         got = mixture_rows(resp, q_a, q_b, hard)
         for c, result in enumerate(results):
             want = np.stack([q.weights for q in oracle_per_unit_mixture(result, hard)])
-            wrapped = np.stack([q.weights for q in per_unit_mixture(result, hard)])
             assert got[c].view(np.int64).tolist() == want.view(np.int64).tolist()
-            assert wrapped.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_hard_ties_go_to_type_a(self):
         q_a, q_b = np.full(2, 0.5), np.array([0.25, 0.75])
@@ -489,7 +457,7 @@ class TestIndependentBits:
 
 
 class TestBitCaseJoint:
-    """bit_case_joint fits each ladder case as the estimators it names, bit for bit."""
+    """bit_case_joint fits each ladder case as its one-checkpoint oracle does, bit for bit."""
 
     GROUPING = Grouping(((0, 3, 4), (5, 1, 2)))
 
@@ -499,24 +467,13 @@ class TestBitCaseJoint:
 
     def test_cases_match_their_estimators(self):
         patterns, g = self._patterns(), self.GROUPING
-        tally = TallyVector(np.bincount(np.asarray(patterns), minlength=64))
-        plain, _ = grouped_known_estimate(g, patterns, CFG)
-        shared, _ = grouped_known_estimate(g, patterns, CFG, share_types=True, seed=5)
-        refined, _ = grouped_known_estimate(
-            g, patterns, CFG, share_types=True, init_assignment=("b", "a")
-        )
-        want = {
-            "c0": joint_from_independent_bits(independent_bits_estimate(patterns, 6, CFG)),
-            "c0p": joint_dirichlet_estimate(tally, CFG),
-            "c13": joint_from_grouping(g, plain),
-            "c1": joint_from_grouping(g, plain),
-            "c123": joint_from_grouping(g, shared),
-            "c12": joint_from_grouping(g, refined),
-        }
-        for case, joint in want.items():
+        c0 = joint_from_independent_bits(independent_bits_estimate(patterns, 6, CFG))
+        assert bits(bit_case_joint("c0", patterns, 6, CFG).weights).tolist() == bits(c0.weights).tolist()
+        for case in ("c0", "c0p", "c13", "c1", "c123", "c12"):
             assignment = ("b", "a") if case == "c12" else None
             got = bit_case_joint(case, patterns, 6, CFG, g, assignment, seed=5)
-            assert bits(got.weights).tolist() == bits(joint.weights).tolist(), case
+            want = oracle_bit_case_joint(case, patterns, 6, CFG, g, assignment, seed=5)
+            assert bits(got.weights).tolist() == bits(want.weights).tolist(), case
 
     @pytest.mark.parametrize(
         "case, grouping, assignment",
@@ -599,43 +556,45 @@ class TestFitBitCase:
 
 
 class TestJointDirichlet:
+    """Case c0p: one Dirichlet-smoothed bin per pattern."""
+
     def test_delegates_to_dirichlet_mean(self):
-        t = TallyVector(np.array([3.0, 1.0, 0.0, 0.0]))
+        patterns = [0, 0, 0, 1]
         np.testing.assert_array_equal(
-            joint_dirichlet_estimate(t, CFG).weights, dirichlet_mean(t, 1.0).weights
+            bit_case_joint("c0p", patterns, 2, CFG).weights,
+            dirichlet_mean_rows(np.array([3.0, 1.0, 0.0, 0.0]), 1.0),
         )
 
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            joint_dirichlet_estimate(TallyVector.zeros(12), CFG)
+    @pytest.mark.parametrize("v", (0, 21))
+    def test_rejects_joint_outside_capacity(self, v):
+        with pytest.raises(CapacityError, match="ladder joints need 1 <= v <= 20"):
+            fit_bit_case("c0p", [0], [1], v, CFG)
 
 
 class TestGroupedKnownEstimate:
+    """The known-grouping cases: c13 smooths each group alone, c123 pools groups by type."""
+
     def test_repeated_pattern_concentrates(self):
         g = Grouping(((0, 1, 2), (3, 4, 5)))
-        patterns = [0b110001] * 50
-        dists, em = grouped_known_estimate(g, patterns, CFG, share_types=False)
-        assert em is None
+        dists = fit_bit_case("c13", [0b110001] * 50, [50], 6, CFG, [g]).factors[0]
         # each group saw one outcome 50 times: weight (n+1)/(n+8) at S=3
-        assert dists[0].weights[0b110] == pytest.approx(51 / 58)
-        assert dists[1].weights[0b001] == pytest.approx(51 / 58)
+        assert dists[0, 0b110] == pytest.approx(51 / 58)
+        assert dists[1, 0b001] == pytest.approx(51 / 58)
 
     def test_true_grouping_close_to_truth(self):
         truth = build_bitvector_truth(BitsConfig(), 1001)
         patterns = draw_patterns(truth, 7, 5000)
-        dists, _ = grouped_known_estimate(truth.hidden_grouping, patterns, CFG, share_types=False)
+        dists = fit_bit_case("c13", patterns, [5000], 12, CFG, [truth.hidden_grouping]).factors[0]
         total = sum(
-            kl_divergence(truth.group_dist(j), dists[j]) for j in range(4)
+            float(kl_divergence_rows(truth.group_dist(j), dists[j])) for j in range(4)
         )
         assert total < 0.02
 
     def test_share_types_pairs_groups(self):
         truth = build_bitvector_truth(BitsConfig(), 321)  # assignment (a, b, a, b)
-        patterns = draw_patterns(truth, 8, 500)
-        _, em = grouped_known_estimate(
-            truth.hidden_grouping, patterns, CFG, share_types=True, seed=5
-        )
-        resp = em.responsibilities
+        outcomes = group_outcomes(draw_patterns(truth, 8, 500), truth.hidden_grouping)
+        counts = np.stack([np.bincount(outcomes[:, j], minlength=8) for j in range(4)])
+        resp = em_one(counts, seed=5)[2]
         lead = resp.argmax(axis=1)
         assert lead[0] == lead[2] and lead[1] == lead[3] and lead[0] != lead[1]
         assert resp.max(axis=1).min() >= 0.99
@@ -650,11 +609,7 @@ class TestConsistency:
         # mean KL at 1000 samples must beat mean KL at 100, averaged over seeds
         deltas = {c: [0.0, 0.0] for c in ("c0p", "c13", "c123", "c1", "c12")}
         cfg = BitsConfig(v=6, g=2, s=3)
-        from latent_structure_lab.search import (
-            SearchConfig,
-            estimate_from_candidate,
-            search,
-        )
+        from latent_structure_lab.search import SearchConfig, search
         from latent_structure_lab.simulate import true_joint
 
         cfg_c1 = SearchConfig(v=6, g=2, s=3, num_types=1, mode="case1", top_k=1)
@@ -667,23 +622,13 @@ class TestConsistency:
             patterns = draw_patterns(truth, seed, 1000)
             for idx, n in enumerate((100, 1000)):
                 head = patterns[:n]
-                tally = TallyVector(np.bincount(np.asarray(head), minlength=64))
-                deltas["c0p"][idx] += kl_divergence(joint, joint_dirichlet_estimate(tally, CFG))
-                d13, _ = grouped_known_estimate(truth.hidden_grouping, head, CFG)
-                deltas["c13"][idx] += kl_divergence(
-                    joint, joint_from_grouping(truth.hidden_grouping, d13)
-                )
-                d123, _ = grouped_known_estimate(
-                    truth.hidden_grouping, head, CFG, share_types=True, seed=seed
-                )
-                deltas["c123"][idx] += kl_divergence(
-                    joint, joint_from_grouping(truth.hidden_grouping, d123)
-                )
+                for case in ("c0p", "c13", "c123"):
+                    est = bit_case_joint(case, head, 6, CFG, truth.hidden_grouping, seed=seed)
+                    deltas[case][idx] += kl_divergence(joint, est)
                 for case, scfg in (("c1", cfg_c1), ("c12", cfg_c12)):
                     best = search(head, scfg)[0].candidate
-                    deltas[case][idx] += kl_divergence(
-                        joint, estimate_from_candidate(head, best, CFG, seed=seed)
-                    )
+                    est = bit_case_joint(case, head, 6, CFG, best.grouping, best.assignment, seed=seed)
+                    deltas[case][idx] += kl_divergence(joint, est)
         for case, (at_100, at_1000) in deltas.items():
             assert at_1000 < at_100, case
 

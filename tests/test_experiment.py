@@ -500,6 +500,22 @@ class TestBitVectorsMemory:
         assert peak <= 1 << 20
 
 
+class TestFourUrnsMemory:
+    def test_urns_peak_traced_allocation(self):
+        """A warm four-urns run holds at most _EM_BATCH_ROWS EM rows at once;
+        the bound leaves room for about 2 MiB more, what the urns_em
+        benchmark's 5% peak RSS bound allows."""
+        spec = spec_from_jsonable(workloads.experiment_spec("urns_em", workloads.GOLDEN_SEED))
+        run_four_urns(spec)
+        tracemalloc.start()
+        try:
+            run_four_urns(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 << 20
+
+
 class TestIndependentBitsFloor:
     def test_zero_for_independent_truth(self):
         probs = (0.9, 0.2, 0.5)

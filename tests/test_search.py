@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latent_structure_lab.estimate import EstimatorConfig
+from latent_structure_lab.estimate import EstimatorConfig, bit_case_joint
 from latent_structure_lab.experiment import ExperimentSpec, SearchSettings, _search_config, _searched_candidates
 from latent_structure_lab.prob import CapacityError, Grouping, group_outcomes, kl_divergence
 from latent_structure_lab.rng import RngState, derive_seed
@@ -25,7 +25,6 @@ from latent_structure_lab.search import (
     _ScoreContext,
     _score_range,
     candidate_count,
-    estimate_from_candidate,
     in_truth_orbit,
     search,
     search_result_jsonable,
@@ -73,6 +72,14 @@ def draw_patterns(truth, seed, n):
         p, rng = draw_bitvector(truth, rng)
         out.append(p)
     return out
+
+
+def candidate_joint(patterns, candidate, seed=0):
+    """The joint of ladder case c1 (a case1 candidate) or c12 (a case12 one,
+    whose assignment starts the two-type EM) fitted to the patterns."""
+    grouping, assignment = candidate.grouping, candidate.assignment
+    case = "c1" if assignment is None else "c12"
+    return bit_case_joint(case, patterns, grouping.v, EstimatorConfig(), grouping, assignment, seed)
 
 
 def random_patterns(rng, v, n):
@@ -499,6 +506,10 @@ def partition_of(grouping):
 class TestCase1Partitions:
     """case1 hypotheses are set partitions: slot order is never scored."""
 
+    def test_config_has_one_type(self):
+        with pytest.raises(ValueError, match="num_types must be 1 in mode case1, got 2"):
+            SearchConfig(v=6, g=2, s=3, num_types=2, mode="case1")
+
     @pytest.mark.parametrize("v", [6, 9])
     def test_exhaustive_oracle_over_ordered_groupings(self, v):
         # every ordered grouping (V!/G!: groups ordered by their smallest
@@ -546,14 +557,14 @@ class TestCase1Partitions:
         patterns = draw_patterns(truth, 24, 300)
         cfg = SearchConfig(v=9, g=3, s=3, num_types=1, mode="case1", top_k=1)
         top = search(patterns, cfg)[0].candidate
-        want = estimate_from_candidate(patterns, top, EstimatorConfig()).weights.tobytes()
+        want = candidate_joint(patterns, top).weights.tobytes()
         orders = list(itertools.permutations(range(3)))
         for sigmas in itertools.product(orders, repeat=3):
             groups = tuple(
                 tuple(grp[i] for i in sigma) for grp, sigma in zip(top.grouping.slots, sigmas)
             )
             relabeled = Candidate(Grouping(groups), None)
-            est = estimate_from_candidate(patterns, relabeled, EstimatorConfig())
+            est = candidate_joint(patterns, relabeled)
             assert est.weights.tobytes() == want
 
 
@@ -807,13 +818,13 @@ class TestEstimateFromCandidate:
         patterns = draw_patterns(truth, 124, 5000)
         cfg = SearchConfig(v=6, g=2, s=3, mode="case12", scorer="dirichlet_marginal", top_k=1)
         top = search(patterns, cfg)[0]
-        est = estimate_from_candidate(patterns, top.candidate, EstimatorConfig(), seed=1)
+        est = candidate_joint(patterns, top.candidate, seed=1)
         assert kl_divergence(true_joint(truth), est) < 0.02
 
     def test_single_repeated_sample_concentrates(self):
         cand = unrank_candidate(CFG6, 20)  # identity grouping, labels (a, b)
         assert cand.assignment == ("a", "b")
-        est = estimate_from_candidate([0b111000] * 20, cand, EstimatorConfig(), seed=0)
+        est = candidate_joint([0b111000] * 20, cand, seed=0)
         # each type sees one outcome 20 times: per-group weight (20+1)/(20+8)
         assert est.weights[0b111000] == pytest.approx((21 / 28) ** 2, abs=1e-9)
 
@@ -825,10 +836,8 @@ class TestEstimateFromCandidate:
         patterns = draw_patterns(truth, 10, 2000)
         g = truth.hidden_grouping
         joint = true_joint(truth)
-        est1 = estimate_from_candidate(patterns, Candidate(g, None), EstimatorConfig(), seed=3)
-        est12 = estimate_from_candidate(
-            patterns, Candidate(g, ("a", "b")), EstimatorConfig(), seed=3
-        )
+        est1 = candidate_joint(patterns, Candidate(g, None), seed=3)
+        est12 = candidate_joint(patterns, Candidate(g, ("a", "b")), seed=3)
         assert abs(kl_divergence(joint, est1) - kl_divergence(joint, est12)) < 1e-3
 
 

@@ -6,8 +6,7 @@ import pytest
 from latent_structure_lab.prob import (
     Categorical,
     Grouping,
-    TallyVector,
-    dirichlet_mean,
+    dirichlet_mean_rows,
     kl_divergence,
 )
 from latent_structure_lab.rng import RngState, next_unit
@@ -24,7 +23,6 @@ from latent_structure_lab.simulate import (
     dataset_digest,
     draw_bitvector,
     draw_bitvectors,
-    draw_urn_sample,
     draw_urn_samples,
     fnv1a64,
     pattern_to_bitstring,
@@ -37,6 +35,7 @@ from latent_structure_lab.simulate import (
     write_model,
     write_urn_dataset,
 )
+from oracles import oracle_draw_urn_sample
 
 # chi-square critical values at alpha=0.001 (upper tail), frozen constants
 CHI2_999_DF7 = 24.321886347856854
@@ -82,13 +81,13 @@ class TestBuildUrnTruth:
 
 
 class TestDrawUrnSample:
+    """draw_urn_samples' (urn, color) rows; TestStreamDraws ties them to scalar draws."""
+
     def test_degenerate_weights(self):
         cfg = UrnConfig(urn_weights=(1.0, 0.0, 0.0, 0.0))
         truth = build_urn_truth(cfg, 9)
-        rng = RngState(17)
-        for _ in range(200):
-            sample, rng = draw_urn_sample(truth, rng)
-            assert sample.urn_id == 0
+        rows, _ = draw_urn_samples(truth, RngState(17), 200)
+        assert (rows[:, 0] == 0).all()
 
     def test_deterministic_color(self):
         cfg = UrnConfig(
@@ -96,15 +95,13 @@ class TestDrawUrnSample:
             assignment=("a", "a", "a", "a"),
         )
         truth = build_urn_truth(cfg, 9)
-        rng = RngState(3)
-        for _ in range(100):
-            sample, rng = draw_urn_sample(truth, rng)
-            assert sample.color == 0
+        rows, _ = draw_urn_samples(truth, RngState(3), 100)
+        assert (rows[:, 1] == 0).all()
 
     def test_exactly_two_advances(self):
         truth = build_urn_truth(UrnConfig(), 4)
         rng = RngState(88)
-        _, after = draw_urn_sample(truth, rng)
+        _, after = draw_urn_samples(truth, rng, 1)
         _, expected = next_unit(rng)
         _, expected = next_unit(expected)
         assert after == expected
@@ -112,22 +109,16 @@ class TestDrawUrnSample:
     def test_urn1_rate_within_binomial_band(self):
         # 3-sigma band around mean 250 for p=0.025 over 10,000 draws
         truth = build_urn_truth(UrnConfig(), 31)
-        rng = RngState(771)
-        hits = 0
-        for _ in range(10000):
-            sample, rng = draw_urn_sample(truth, rng)
-            hits += sample.urn_id == 0
-        assert 207 <= hits <= 293
+        rows, _ = draw_urn_samples(truth, RngState(771), 10000)
+        assert 207 <= int((rows[:, 0] == 0).sum()) <= 293
 
     def test_conditional_frequencies_converge(self):
         truth = build_urn_truth(UrnConfig(), 5150)
-        rng = RngState(62)
+        rows, _ = draw_urn_samples(truth, RngState(62), 50000)
         counts = np.zeros((4, 8))
-        for _ in range(50000):
-            s, rng = draw_urn_sample(truth, rng)
-            counts[s.urn_id, s.color] += 1
+        np.add.at(counts, (rows[:, 0], rows[:, 1]), 1.0)
         for urn in (1, 2, 3):  # the frequently sampled urns
-            est = dirichlet_mean(TallyVector(counts[urn]), 1.0)
+            est = Categorical(dirichlet_mean_rows(counts[urn], 1.0))
             assert kl_divergence(truth.urn_dist(urn), est) < 0.01
 
 
@@ -250,7 +241,7 @@ def seed_with_unit_at(step: int, unit: float = UNIT_MAX) -> RngState:
 def scalar_urn_rows(truth, rng, n):
     rows = []
     for _ in range(n):
-        sample, rng = draw_urn_sample(truth, rng)
+        sample, rng = oracle_draw_urn_sample(truth, rng)
         rows.append([sample.urn_id, sample.color])
     return rows, rng
 
