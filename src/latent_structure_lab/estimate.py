@@ -12,10 +12,12 @@ update trades likelihood against smoothing.
 
 The EM runs on raw float arrays with one row per restart, each row with its
 own counts and stopping iteration. em_two_type_many runs the restarts of
-many datasets (the checkpoints of a run: noisy restarts, or one row
-refining a given start) in the same loop, in batches of at most
-_EM_BATCH_ROWS rows, and returns each dataset's winning row as arrays; one
-dataset is its (1, N, K) case. Inputs are validated once, at entry.
+many datasets (the checkpoints of every run of an experiment: noisy
+restarts, or one row refining a given start) through one EM loop, _em_pool:
+a pool of at most _EM_POOL_ROWS rows that takes in the next rows as others
+stop, so that its passes stay full while a few slow rows run on. It
+returns each dataset's winning row as arrays; one dataset is its
+(1, N, K) case. Inputs are validated once, at entry.
 
 Per-unit estimates are read out on arrays: mixture_rows mixes (..., K)
 type distributions by (..., N, 2) responsibilities, so a four-urns run
@@ -28,7 +30,7 @@ groups and c123/c12 the two-type EM over groups, for a known (c13, c123)
 or searched (c1, c12) grouping. It fits a case at every checkpoint of a
 run at once: checkpoint_counts tallies each segment (a run of checkpoints
 that share one grouping) with one cumulative bincount, and the EM rows of
-all checkpoints share em_two_type_many's batches. The fit stays in
+all checkpoints share em_two_type_many's pool. The fit stays in
 factored form (bit probabilities or group distributions); BitCaseFit.joints
 expands a few rows at a time to 2**V joints through the row forms of
 prob.joint_from_grouping and prob.joint_from_independent_bits.
@@ -38,7 +40,7 @@ bit_case_joint, which `lsl estimate` calls, is its one-checkpoint case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -90,31 +92,88 @@ def _em_m_step(counts: np.ndarray, resp: np.ndarray, pseudocount: float) -> np.n
     return (pooled + pseudocount) / total
 
 
-def _em_batch(
-    counts: np.ndarray, q: np.ndarray, cfg: EstimatorConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run EM from each of the (A, 2, K) starts in q on its own (N, K) counts, all rows at once.
+# Rows (dataset x restart) the EM pool holds at once. A pass costs about 25
+# numpy calls whatever its row count. Most rows stop within a few E-steps
+# and a few run to em_max_iters, so a pool that takes in new rows as others
+# stop keeps its passes full, where fixed batches ran on for their slowest
+# row. On the seed-1 urns_em benchmark (24 runs x 190 checkpoints x 5
+# restarts, 221,892 row M-steps; 2 cores) 80-row batches took 7,658 passes,
+# and a pool of 100, 200 or 400 rows 3,074, 1,554 or 905. 400 rows ran
+# about 15% faster than 200 but raised the benchmark's peak RSS by about
+# 0.7 MiB (1.7%), where 200 rows raised it by 0.04 MiB.
+_EM_POOL_ROWS = 200
 
-    counts is (A, N, K): one count matrix per row, so one batch can hold the
-    restarts of several datasets. A row stops at its own iteration: once its
-    objective moves by less than em_tol, its objective, responsibilities
-    and distributions freeze while the others go on. A row still moving
-    after em_max_iters M-steps gets one last E-step. Returns the final q,
-    the (A, N, 2) responsibilities, the (A,) objectives and the (A,)
-    iteration counts (E-steps run).
+
+def _em_pool(
+    counts: np.ndarray,
+    restarts: int,
+    starts: Callable[[int, int], np.ndarray],
+    cfg: EstimatorConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run EM on `restarts` rows per (N, K) count matrix of counts (C, N, K) and keep each dataset's winner.
+
+    Row j is restart j % restarts of dataset j // restarts; starts(lo, hi)
+    gives the ((hi - lo) * restarts, 2, K) starts of datasets lo..hi-1 in
+    that order. The pool holds at most _EM_POOL_ROWS rows, each with its
+    own counts, start step and previous objective. A row stops at its own
+    iteration: once its objective moves by less than em_tol, or after
+    em_max_iters M-steps and one last E-step. Stopped rows leave the pool;
+    whenever it is half empty, the rows stopped since the last refill meet
+    their datasets' winners so far, and the next rows come in. No row's
+    arithmetic depends on the rows that share its pass. Each dataset keeps
+    the first restart with the largest final objective, NaN counting as
+    largest (np.argmax's rule), whatever order its rows stop in. Returns
+    the winners' (C, 2, K) type distributions, (C, N, 2) responsibilities,
+    (C,) objectives and (C,) iteration counts (E-steps run).
     """
-    n_rows = q.shape[0]
-    final_q = np.empty_like(q)
-    final_resp = np.empty((n_rows, counts.shape[1], 2))
-    final_obj = np.empty(n_rows)
-    iterations = np.empty(n_rows, dtype=np.int64)
-    live = np.arange(n_rows)
-    prev = np.full(n_rows, np.nan)  # no row can stop at its first E-step
-    for step in range(cfg.em_max_iters + 1):
+    n_sets, n_units, k = counts.shape
+    n_rows = n_sets * restarts
+    win_q = np.empty((n_sets, 2, k))
+    win_resp = np.empty((n_sets, n_units, 2))
+    win_obj = np.empty(n_sets)
+    win_iters = np.empty(n_sets, dtype=np.int64)
+    win_key = np.full(n_sets, -np.inf)  # the winner's objective, NaN as +inf
+    win_restart = np.full(n_sets, restarts)
+    rows = np.empty(0, dtype=np.int64)
+    live_counts, q = np.empty((0, n_units, k)), np.empty((0, 2, k))
+    prev, born = np.empty(0), np.empty(0, dtype=np.int64)
+    stopped: list[tuple[np.ndarray, ...]] = []  # (rows, q, resp, objective, iterations) since the last refill
+    taken = step = 0
+    while True:
+        refill = rows.size <= _EM_POOL_ROWS // 2
+        if refill and stopped:
+            ids, s_q, s_resp, s_obj, s_iters = (np.concatenate(part) for part in zip(*stopped))
+            stopped = []
+            dataset, restart = np.divmod(ids, restarts)
+            key = np.where(np.isnan(s_obj), np.inf, s_obj)
+            # One restart at a time, so that no dataset repeats within a
+            # step: largest key, then first restart, over each dataset's
+            # winner so far and its rows here, whatever order they stopped
+            # in. (A sort or ufunc.at would cost 0.1-0.3 MiB of peak RSS
+            # for its first call.)
+            for r in range(restarts):
+                at = np.flatnonzero(restart == r)
+                c = dataset[at]
+                better = (key[at] > win_key[c]) | ((key[at] == win_key[c]) & (r < win_restart[c]))
+                at, c = at[better], c[better]
+                win_key[c], win_restart[c] = key[at], r
+                win_q[c], win_resp[c], win_obj[c], win_iters[c] = s_q[at], s_resp[at], s_obj[at], s_iters[at]
+        if refill and taken < n_rows:
+            end = min(n_rows, taken + _EM_POOL_ROWS - rows.size)
+            lo, hi = taken // restarts, -(-end // restarts)
+            new = np.arange(taken, end)
+            rows = np.concatenate([rows, new])
+            live_counts = np.concatenate([live_counts, counts[new // restarts]])
+            q = np.concatenate([q, starts(lo, hi)[taken - lo * restarts : end - lo * restarts]])
+            prev = np.concatenate([prev, np.full(new.size, np.nan)])  # no row stops at its first E-step
+            born = np.concatenate([born, np.full(new.size, step)])
+            taken = end
+        if rows.size == 0:
+            break
         log_q = np.log(q)
         # (A, N, 2), C-ordered like the (N, 2) stack of one restart: the
         # M-step reads its columns, and their stride sets BLAS rounding.
-        ll = np.ascontiguousarray((counts[:, None] @ log_q[..., None])[..., 0].transpose(0, 2, 1))
+        ll = np.ascontiguousarray((live_counts[:, None] @ log_q[..., None])[..., 0].transpose(0, 2, 1))
         peak = ll.max(axis=2)
         shifted = np.exp(ll - peak[..., None])
         norm = shifted.sum(axis=2)
@@ -122,27 +181,17 @@ def _em_batch(
             log_q[:, 0].sum(axis=1) + log_q[:, 1].sum(axis=1)
         )
         resp = shifted / norm[..., None]
-        done = (np.abs(obj - prev) < cfg.em_tol) | (step == cfg.em_max_iters)
+        done = (np.abs(obj - prev) < cfg.em_tol) | (born == step - cfg.em_max_iters)
         if done.any():
-            stop = live[done]
-            final_q[stop], final_resp[stop], final_obj[stop] = q[done], resp[done], obj[done]
-            iterations[stop] = step + 1
+            stopped.append((rows[done], q[done], resp[done], obj[done], step + 1 - born[done]))
             keep = ~done
-            live, q, resp, obj, counts = live[keep], q[keep], resp[keep], obj[keep], counts[keep]
-            if live.size == 0:
-                break
+            rows, live_counts, q, resp, obj, born = (
+                rows[keep], live_counts[keep], q[keep], resp[keep], obj[keep], born[keep]
+            )
         prev = obj
-        q = _em_m_step(counts, resp, cfg.pseudocount)
-    return final_q, final_resp, final_obj, iterations
-
-
-# Rows (datasets x restarts) per _em_batch call in em_two_type_many. On the
-# urns_em benchmark (190 checkpoints x 5 restarts per run, 2 cores) EM took
-# about 105-135 ms per run one checkpoint at a time and 25-40 ms per run from
-# 40 rows up, while peak RSS grows with the rows held at once: all of a
-# run's rows in one call cost about 5% over one checkpoint at a time, 80
-# rows 1.4% (41.4 to 42.0 MiB).
-_EM_BATCH_ROWS = 80
+        q = _em_m_step(live_counts, resp, cfg.pseudocount)
+        step += 1
+    return win_q, win_resp, win_obj, win_iters
 
 
 def _restart_starts(counts: np.ndarray, cfg: EstimatorConfig, seeds: Sequence[int]) -> np.ndarray:
@@ -153,8 +202,8 @@ def _restart_starts(counts: np.ndarray, cfg: EstimatorConfig, seeds: Sequence[in
         pooled_counts.sum(axis=1, keepdims=True) + k * cfg.pseudocount
     )
     n_units = cfg.em_restarts * 2 * k
-    units = np.stack([next_units(RngState(seed), n_units)[0] for seed in seeds])
-    units = units.reshape(len(seeds), cfg.em_restarts, 2, k)
+    states = np.array([RngState(seed).state for seed in seeds], dtype=np.uint64)
+    units = next_units(states, n_units)[0].reshape(len(seeds), cfg.em_restarts, 2, k)
     weights = pooled[:, None, None, :] * (1.0 + cfg.em_init_noise * (2.0 * units - 1.0))
     return (weights / weights.sum(axis=3, keepdims=True)).reshape(-1, 2, k)
 
@@ -187,9 +236,9 @@ def em_two_type_many(
     the largest final objective. With (C, N, 2) init_responsibilities,
     dataset c instead refines init_responsibilities[c] in one row, and
     seeds are not used. Returns the winners' (C, 2, K) type distributions q
-    (q[c, 0] is type a) and (C, N, 2) responsibilities. The rows of several
-    datasets share one _em_batch call (at most _EM_BATCH_ROWS rows), each
-    row with its own counts and stopping iteration.
+    (q[c, 0] is type a) and (C, N, 2) responsibilities. The rows of all
+    datasets run in one _em_pool, each row with its own counts and stopping
+    iteration.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 3 or 0 in counts.shape[1:]:
@@ -199,22 +248,14 @@ def em_two_type_many(
     if init_responsibilities is None:
         if seeds is None or len(seeds) != len(counts):
             raise ValueError("em_two_type_many needs one seed per dataset")
-        restarts = cfg.em_restarts
+        q, resp, _, _ = _em_pool(
+            counts, cfg.em_restarts, lambda lo, hi: _restart_starts(counts[lo:hi], cfg, seeds[lo:hi]), cfg
+        )
     else:
         init = _checked_init(init_responsibilities, counts.shape[:2] + (2,))
-        restarts = 1
-    per_batch = max(1, _EM_BATCH_ROWS // restarts)
-    q = np.empty((len(counts), 2, counts.shape[2]))
-    resp = np.empty(counts.shape[:2] + (2,))
-    for lo in range(0, len(counts), per_batch):
-        block = counts[lo : lo + per_batch]
-        if init_responsibilities is None:
-            starts = _restart_starts(block, cfg, seeds[lo : lo + per_batch])
-        else:
-            starts = _em_m_step(block, init[lo : lo + per_batch], cfg.pseudocount)
-        block_q, block_resp, objectives, _ = _em_batch(np.repeat(block, restarts, axis=0), starts, cfg)
-        best = objectives.reshape(len(block), restarts).argmax(axis=1) + restarts * np.arange(len(block))
-        q[lo : lo + len(block)], resp[lo : lo + len(block)] = block_q[best], block_resp[best]
+        q, resp, _, _ = _em_pool(
+            counts, 1, lambda lo, hi: _em_m_step(counts[lo:hi], init[lo:hi], cfg.pseudocount), cfg
+        )
     return q, resp
 
 
@@ -318,7 +359,7 @@ def fit_bit_case(
     seeds[c], and c12 refines the hard a/b assignments[c] (a searched
     candidate's labels) instead. Counts come from one cumulative bincount
     per segment, and the EM rows of all checkpoints share em_two_type_many's
-    batches.
+    pool.
     """
     if case not in BIT_CASES:
         raise ValueError(f"unknown case id {case!r}; valid: {list(BIT_CASES)}")

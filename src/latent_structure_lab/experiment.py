@@ -230,42 +230,69 @@ def _per_urn_curves(label: str, grid, per_urn_kls) -> KlCurve:
     return KlCurve(label=label, points=tuple(zip(grid, totals)), per_unit=subs)
 
 
-def _four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrnsRun:
-    run_seed = derive_seed(spec.base_seed, run_index)
-    truth = build_urn_truth(spec.urn_config, _truth_seed(spec, run_seed))
-    samples, _ = draw_urn_samples(truth, RngState(derive_seed(run_seed, 2)), spec.n_samples)
-    n_urns = truth.n_urns
+def _four_urns_runs(spec: ExperimentSpec, run_indices: Sequence[int]) -> tuple[FourUrnsRun, ...]:
+    """Runs run_indices of a four-urns spec, each a pure function of (spec, run index).
+
+    Every run's checkpoint counts go into one (runs x checkpoints, urns,
+    colors) array, and one em_two_type_many call fits them all; the KL
+    arrays are read out run by run, and the count and winner arrays are
+    freed before any KlCurve is built.
+    """
     grid = _curve_checkpoints(spec) or ((0,) if spec.n_samples == 0 else ())
-    truths = [truth.urn_dist(i) for i in range(n_urns)]
-    k = truth.n_colors
-    counts = checkpoint_counts(samples[:, 0] * k + samples[:, 1], grid, n_urns * k).reshape(-1, n_urns, k)
-    seeds = [derive_seed(run_seed, 1000 + c) for c in range(len(grid))]
+    n_cp = len(grid)
+    run_seeds = [derive_seed(spec.base_seed, r) for r in run_indices]
+    truths = [build_urn_truth(spec.urn_config, _truth_seed(spec, run_seed)) for run_seed in run_seeds]
+    n_urns, k = spec.urn_config.n_urns, spec.urn_config.n_colors
+    counts = np.empty((len(truths) * n_cp, n_urns, k))
+    seeds: list[int] = []
+    urn1_samples = []
+    for i, (run_seed, truth) in enumerate(zip(run_seeds, truths)):
+        samples, _ = draw_urn_samples(truth, RngState(derive_seed(run_seed, 2)), spec.n_samples)
+        counts[i * n_cp : (i + 1) * n_cp] = checkpoint_counts(
+            samples[:, 0] * k + samples[:, 1], grid, n_urns * k
+        ).reshape(-1, n_urns, k)
+        seeds.extend(derive_seed(run_seed, 1000 + c) for c in range(n_cp))
+        urn1_samples.append(tuple((np.flatnonzero(samples[:, 0] == 0) + 1).tolist()))
     q, resp = em_two_type_many(counts, spec.estimator, seeds)
-    q_a, q_b = q[:, 0], q[:, 1]
 
-    def curve(label: str, estimates: np.ndarray) -> KlCurve:
-        """Per-urn KL curves from (checkpoints, urns, colors) estimates."""
-        kls = [kl_divergence_rows(truths[i], estimates[:, i]) for i in range(n_urns)]
-        return _per_urn_curves(label, grid, np.stack(kls, axis=1).tolist())
+    def urn_kls(truth: UrnTruth, estimates: np.ndarray) -> np.ndarray:
+        """(checkpoints, urns) KL values from (checkpoints, urns, colors) estimates."""
+        kls = [kl_divergence_rows(truth.urn_dist(u), estimates[:, u]) for u in range(n_urns)]
+        return np.stack(kls, axis=1)
 
-    return FourUrnsRun(
-        truth=truth,
-        raw=curve("raw", dirichlet_mean_rows(counts, spec.estimator.pseudocount)),
-        ours=curve("ours", mixture_rows(resp, q_a, q_b)),
-        ours_hard=(
-            curve("ours_hard", mixture_rows(resp, q_a, q_b, hard=True))
+    kls = []
+    for i, truth in enumerate(truths):
+        rows = slice(i * n_cp, (i + 1) * n_cp)
+        kls.append((
+            urn_kls(truth, dirichlet_mean_rows(counts[rows], spec.estimator.pseudocount)),
+            urn_kls(truth, mixture_rows(resp[rows], q[rows, 0], q[rows, 1])),
+            urn_kls(truth, mixture_rows(resp[rows], q[rows, 0], q[rows, 1], hard=True))
             if spec.emit_hard_readout
-            else None
-        ),
-        urn1_samples=tuple((np.flatnonzero(samples[:, 0] == 0) + 1).tolist()),
+            else None,
+        ))
+    del counts, q, resp
+    return tuple(
+        FourUrnsRun(
+            truth=truth,
+            raw=_per_urn_curves("raw", grid, raw.tolist()),
+            ours=_per_urn_curves("ours", grid, ours.tolist()),
+            ours_hard=None if hard is None else _per_urn_curves("ours_hard", grid, hard.tolist()),
+            urn1_samples=urn1,
+        )
+        for truth, (raw, ours, hard), urn1 in zip(truths, kls, urn1_samples)
     )
+
+
+def _four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrnsRun:
+    """Run run_index of a four-urns spec on its own: the one-run case of _four_urns_runs."""
+    return _four_urns_runs(spec, [run_index])[0]
 
 
 def run_four_urns(spec: ExperimentSpec) -> FourUrnsResult:
     """Raw-tally and two-type curves per run plus their across-run averages."""
     if spec.kind != "four_urns":
         raise ValueError("spec.kind must be 'four_urns'")
-    runs = tuple(_four_urns_single_run(spec, r) for r in range(spec.n_runs))
+    runs = _four_urns_runs(spec, range(spec.n_runs))
     return FourUrnsResult(
         runs=runs,
         avg_raw=average_curves([r.raw for r in runs]),

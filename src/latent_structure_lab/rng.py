@@ -44,19 +44,25 @@ def next_unit(rng: RngState) -> tuple[float, RngState]:
     return (z >> 11) / _UNIT, rng
 
 
-def next_units(rng: RngState, n: int) -> tuple[np.ndarray, RngState]:
+def next_units(rng: RngState | np.ndarray, n: int) -> tuple[np.ndarray, RngState | np.ndarray]:
     """n unit draws at once and the advanced state, equal to n next_unit calls.
 
-    The j-th step's state is seed + j*golden (mod 2**64), so the whole
-    stream is computed in wrapping uint64 arithmetic without a loop.
+    rng is one state, or an (S,) uint64 array of states: then the draws are
+    (S, n), row s drawn from states[s], and the advanced states come back as
+    an (S,) array. The j-th step's state is seed + j*golden (mod 2**64), so
+    every stream is computed in wrapping uint64 arithmetic without a loop.
     """
     if n < 0:
         raise ValueError(f"cannot draw {n} units")
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(rng.state)
+    if isinstance(rng, RngState):
+        units, states = next_units(np.array([rng.state], dtype=np.uint64), n)
+        return units[0], RngState(int(states[0]))
+    states = np.asarray(rng, dtype=np.uint64)
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + states[:, None]
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) / _UNIT, RngState(rng.state + n * _GOLDEN)
+    return (z >> np.uint64(11)).astype(np.float64) / _UNIT, states + np.uint64(n * _GOLDEN & _MASK64)
 
 
 def derive_seed(base: int, index: int) -> int:

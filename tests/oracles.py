@@ -10,7 +10,7 @@ every (state, digit) pair with a dict of next states
 byte), and `oracle_tuple_tally` counts each tuple's outcomes with its own
 bincount.
 `em_fit` is not an oracle but a test helper: one dataset's two-type EM
-through the library's own restart starts and batched EM loop, keeping
+through the library's own restart starts and EM row pool, keeping
 what `em_two_type_many` drops (every restart's objective and iteration
 count) so tests can compare them with a scalar EM; `em_objective_path`
 reads the objective after each of the first M-steps through it.
@@ -35,8 +35,8 @@ import numpy as np
 from latent_structure_lab.estimate import (
     BIT_CASES,
     EstimatorConfig,
-    _em_batch,
     _em_m_step,
+    _em_pool,
     _restart_starts,
     assignment_responsibilities,
 )
@@ -117,11 +117,12 @@ def em_fit(counts, cfg: EstimatorConfig, seed: int, init_responsibilities=None) 
     counts = np.asarray(counts, dtype=np.float64)[None]
     if init_responsibilities is None:
         starts = _restart_starts(counts, cfg, [seed])
-        counts = np.repeat(counts, cfg.em_restarts, axis=0)
     else:
         init = np.asarray(init_responsibilities, dtype=np.float64)
         starts = _em_m_step(counts, init[None], cfg.pseudocount)
-    q, resp, objectives, iterations = _em_batch(counts, starts, cfg)
+    # Each restart as a dataset of its own, so the pool returns every row.
+    rows = np.repeat(counts, len(starts), axis=0)
+    q, resp, objectives, iterations = _em_pool(rows, 1, lambda lo, hi: starts[lo:hi], cfg)
     best = int(np.argmax(objectives))
     return EmFit(
         Categorical(q[best, 0]),

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from latent_structure_lab.prob import (
 )
 from latent_structure_lab.rng import RngState, derive_seed, next_unit
 from latent_structure_lab.simulate import BitsConfig, build_bitvector_truth, draw_bitvector
+import oracles
 from oracles import (
     em_fit,
     em_objective_path,
@@ -337,13 +339,13 @@ def assert_winners_equal(q, resp, want):
 
 
 class TestEmManyMatchesSingleCalls:
-    """em_two_type_many's winners equal one single-dataset EM per dataset, across batch boundaries."""
+    """em_two_type_many's winners equal one single-dataset EM per dataset, across pool refills."""
 
     @pytest.mark.parametrize("max_iters", (1, 2, 500))
     @pytest.mark.parametrize("restarts", (1, 3, 5, 7))
-    def test_datasets_crossing_batches(self, max_iters, restarts):
+    def test_datasets_crossing_batches(self, max_iters, restarts, small_em_pool):
         rng = np.random.default_rng(100 * max_iters + restarts)
-        n_sets = 3 * estimate_module._EM_BATCH_ROWS // restarts + 2
+        n_sets = 3 * small_em_pool + 2
         counts = rng.integers(0, 40, size=(n_sets, 4, 8)).astype(float)
         counts[::4] *= rng.random(8)  # fractional tallies too
         counts[1] = 0.0  # a dataset with no samples
@@ -355,9 +357,9 @@ class TestEmManyMatchesSingleCalls:
             assert_winners_equal(q[c], resp[c], em_fit(counts[c], cfg, seeds[c]))
 
     @pytest.mark.parametrize("max_iters", (1, 2, 500))
-    def test_init_responsibilities_crossing_batches(self, max_iters):
+    def test_init_responsibilities_crossing_batches(self, max_iters, small_em_pool):
         rng = np.random.default_rng(31 + max_iters)
-        n_sets = estimate_module._EM_BATCH_ROWS + 7
+        n_sets = 3 * small_em_pool + 2
         counts = rng.integers(0, 30, size=(n_sets, 4, 8)).astype(float)
         init = rng.random((n_sets, 4, 2))
         init[::3] = assignment_responsibilities(("a", "b", "b", "a"))
@@ -376,9 +378,64 @@ class TestEmManyMatchesSingleCalls:
         counts = rng.integers(0, 60, size=(23, 5, 4)).astype(float)
         seeds = list(range(23))
         batched = em_two_type_many(counts, CFG, seeds)
-        monkeypatch.setattr(estimate_module, "_EM_BATCH_ROWS", 1)
+        monkeypatch.setattr(estimate_module, "_EM_POOL_ROWS", 1)
         for got, want in zip(batched, em_two_type_many(counts, CFG, seeds)):
             np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("split", (False, True))
+    @pytest.mark.parametrize("ahead", (False, True))
+    def test_tied_restarts_keep_the_first(self, monkeypatch, request, split, ahead):
+        # Restart 2 starts from restart 0 with its types swapped. The EM is
+        # symmetric in the types, so their objectives are bit-equal, and
+        # np.argmax in em_fit picks restart 0 where they are largest. With
+        # `ahead`, restart 2 starts from restart 0's first M-step instead,
+        # so it reaches the same objective one step before restart 0 does.
+        real_starts = estimate_module._restart_starts
+
+        def swapped_starts(counts, cfg, seeds):
+            starts = real_starts(counts, cfg, seeds).reshape(len(seeds), cfg.em_restarts, 2, -1)
+            first = starts[:, 0]
+            if ahead:
+                one_step = replace(cfg, em_max_iters=1)
+                first = estimate_module._em_pool(counts, 1, lambda lo, hi: first[lo:hi], one_step)[0]
+            starts[:, 2] = first[:, ::-1]
+            return starts.reshape(-1, 2, counts.shape[2])
+
+        monkeypatch.setattr(estimate_module, "_restart_starts", swapped_starts)
+        monkeypatch.setattr(oracles, "_restart_starts", swapped_starts)
+        if split:  # a dataset's restarts 0 and 2 enter in different refills
+            request.getfixturevalue("small_em_pool")
+        rng = np.random.default_rng(12)
+        counts = rng.integers(0, 40, size=(30, 4, 8)).astype(float)
+        seeds = list(range(30))
+        q, resp = em_two_type_many(counts, CFG, seeds)
+        ties = 0
+        for c in range(len(counts)):
+            fit = em_fit(counts[c], CFG, seeds[c])
+            objectives = np.array(fit.restart_objectives)
+            assert bits(objectives[0]) == bits(objectives[2])
+            if objectives[0] == objectives.max():
+                ties += 1
+                assert fit.restart_iterations[2] == fit.restart_iterations[0] - ahead
+            assert_winners_equal(q[c], resp[c], fit)
+        assert ties >= 5
+
+    def test_nan_objectives_keep_the_first_restart(self):
+        # Finite counts whose pooled sums overflow give NaN objectives; like
+        # np.argmax, the winner is then the first restart with a NaN.
+        counts = np.array([[[1e308, 1e308], [1.0, 0.0]], [[3.0, 1.0], [0.0, 2.0]]])
+        with np.errstate(all="ignore"):
+            q, resp = em_two_type_many(counts, CFG, [3, 4])
+            for c in range(len(counts)):
+                starts = estimate_module._restart_starts(counts[c : c + 1], CFG, [3 + c])
+                rows = np.repeat(counts[c : c + 1], len(starts), axis=0)
+                q_rows, resp_rows, objectives, _ = estimate_module._em_pool(
+                    rows, 1, lambda lo, hi: starts[lo:hi], CFG
+                )
+                best = int(np.argmax(objectives))
+                assert np.isnan(objectives).all() == (c == 0)
+                np.testing.assert_array_equal(bits(q[c]), bits(q_rows[best]))
+                np.testing.assert_array_equal(bits(resp[c]), bits(resp_rows[best]))
 
     def test_no_datasets(self):
         q, resp = em_two_type_many(np.zeros((0, 4, 8)), CFG, [])

@@ -26,7 +26,6 @@ from latent_structure_lab.experiment import (
     _bitvectors_single_run,
     _truth_seed,
 )
-from latent_structure_lab import estimate as estimate_module
 from latent_structure_lab import experiment as experiment_module
 from latent_structure_lab.estimate import BIT_CASES, EstimatorConfig
 from latent_structure_lab.pipeline import run_experiment
@@ -193,7 +192,7 @@ def curve_bits(curve):
 
 
 class TestFourUrnsMatchesStreamingOracle:
-    """Array draws plus batched EM equal the sample-at-a-time run bit for bit."""
+    """Array draws plus pooled EM equal the sample-at-a-time run bit for bit."""
 
     CASES = {
         "no_samples": dict(n_samples=0),
@@ -207,20 +206,19 @@ class TestFourUrnsMatchesStreamingOracle:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_runs_equal_oracle(self, case):
-        spec = ExperimentSpec(kind="four_urns", n_runs=2, base_seed=404, **self.CASES[case])
-        for run_index in range(spec.n_runs):
-            got = _four_urns_single_run(spec, run_index)
+    def test_runs_equal_oracle(self, case, small_em_pool):
+        # The rows of different runs share passes of the small pool.
+        spec = ExperimentSpec(kind="four_urns", n_runs=3, base_seed=404, **self.CASES[case])
+        for run_index, got in enumerate(run_four_urns(spec).runs):
             want = oracle_four_urns_single_run(spec, run_index)
             assert got.truth.assignment == want.truth.assignment
             for name in ("raw", "ours", "ours_hard"):
                 assert curve_bits(getattr(got, name)) == curve_bits(getattr(want, name))
             assert got.urn1_samples == want.urn1_samples
 
-    def test_grid_crosses_em_batches(self):
+    def test_grid_crosses_em_batches(self, small_em_pool):
         spec = ExperimentSpec(kind="four_urns", n_samples=400, n_runs=1, base_seed=8)
-        per_batch = estimate_module._EM_BATCH_ROWS // spec.estimator.em_restarts
-        assert len(default_checkpoints(400)) > 2 * per_batch
+        assert len(default_checkpoints(400)) * spec.estimator.em_restarts > 20 * small_em_pool
         got = _four_urns_single_run(spec, 0)
         want = oracle_four_urns_single_run(spec, 0)
         assert curve_bits(got.ours) == curve_bits(want.ours)
@@ -446,11 +444,14 @@ class TestBitVectorsMatchOracle:
             for case in spec.cases:
                 assert curve_bits(got.curves[case]) == curve_bits(want.curves[case]), case
 
-    def test_all_cases_grid_crosses_chunks_and_em_batches(self):
+    def test_all_cases_grid_crosses_chunks_and_em_batches(self, small_em_pool):
         n_checkpoints = len(default_checkpoints(self.CASES["all_cases"]["n_samples"]))
-        assert n_checkpoints > estimate_module._EM_BATCH_ROWS
-        assert n_checkpoints > estimate_module._EM_BATCH_ROWS // EstimatorConfig().em_restarts
+        assert n_checkpoints > 10 * small_em_pool
         assert n_checkpoints > experiment_module._JOINT_ROWS
+        spec = ExperimentSpec(
+            kind="bit_vectors", n_runs=2, base_seed=606, bits_config=self.SMALL, **self.CASES["all_cases"]
+        )
+        self.assert_runs_equal(spec)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_runs_equal_oracle(self, case):
@@ -502,9 +503,10 @@ class TestBitVectorsMemory:
 
 class TestFourUrnsMemory:
     def test_urns_peak_traced_allocation(self):
-        """A warm four-urns run holds at most _EM_BATCH_ROWS EM rows at once;
-        the bound leaves room for about 2 MiB more, what the urns_em
-        benchmark's 5% peak RSS bound allows."""
+        """A warm four-urns run holds every run's checkpoint counts and EM
+        winners at once, freed before its curves are built, and at most
+        _EM_POOL_ROWS EM rows; the bound leaves room for about 2 MiB more
+        than that, what the urns_em benchmark's 5% peak RSS bound allows."""
         spec = spec_from_jsonable(workloads.experiment_spec("urns_em", workloads.GOLDEN_SEED))
         run_four_urns(spec)
         tracemalloc.start()

@@ -95,6 +95,18 @@ class TestNextUnits:
         np.testing.assert_array_equal(np.concatenate([first, second]), want)
         assert end == want_end
 
+    @pytest.mark.parametrize("n", (0, 1, 7, 40))
+    def test_array_of_states_equals_per_seed_calls(self, n):
+        # Seeds at and above 2**63, and streams that wrap 2**64 within n steps.
+        seeds = list(WRAPPING_SEEDS) + [2**63 - 1, 2**63 + 1, 2**64 - GOLDEN, 2**64 - 2]
+        units, after = next_units(np.array(seeds, dtype=np.uint64), n)
+        assert units.dtype == np.float64 and units.shape == (len(seeds), n)
+        assert after.dtype == np.uint64 and after.shape == (len(seeds),)
+        for seed, row, state in zip(seeds, units, after):
+            want, want_after = next_units(RngState(seed), n)
+            np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
+            assert int(state) == want_after.state
+
     def test_zero_draws_keep_the_state(self):
         units, after = next_units(RngState(2**64 - 1), 0)
         assert units.shape == (0,) and units.dtype == np.float64
