@@ -46,9 +46,10 @@ from .simulate import (
 # case12 candidates scored per worker CPU-second, which check_search_cost
 # prices a refused search at. The traced V=12 marginal-scorer sweep of
 # benchmarks/run.py (workload search_case12_v12, seed 1, 2 cores, Python
-# 3.11, numpy 2.4) scored its 106,444,800 candidates in 19.2 worker
-# CPU-seconds, 5.5M per worker CPU-second, with the per-prefix scorer.
-CASE12_SCORINGS_PER_WORKER_S = 5.5e6
+# 3.11, numpy 2.4) scored its 106,444,800 candidates in 7.2-7.7 worker
+# CPU-seconds over three runs (median 7.34), 14.5M per worker CPU-second,
+# with the cell-fold scorer.
+CASE12_SCORINGS_PER_WORKER_S = 14e6
 # check_search_cost refuses a case12 search space larger than this.
 CASE12_EXPENSIVE_CANDIDATES = 1_000_000
 

@@ -223,6 +223,52 @@ def _tuple_tally(patterns: np.ndarray, tuple_vars: np.ndarray, v: int) -> np.nda
     return tally
 
 
+def _cell_sum(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """`x.sum(axis=-1)` as elementwise adds over all rows at once, in `scratch`.
+
+    numpy adds each contiguous row of n = 2**S cells pairwise, one
+    inner-loop call per row; this makes the same adds in the same order
+    with a few strided adds over the whole stack:
+    - n < 8: left to right;
+    - 8 <= n <= 128: eight accumulators r[i] = x[i] + x[i+8] + ... (left
+      to right), combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7));
+    - n > 128: the sums of the two halves, added (numpy splits at n/2 cut
+      to a multiple of 8, which is n/2 here).
+    numpy also starts from its identity +0.0, so a row of negative zeros
+    sums to +0.0 there and to -0.0 here. Scores start at +0.0, which
+    absorbs that difference, so they are bit for bit those of `.sum`.
+
+    `scratch` is a flat float64 buffer of at least x.size elements that
+    shares no memory with `x`; the result is a view into it (a fresh array
+    above 128 cells).
+    """
+    n = x.shape[-1]
+    lead = x.shape[:-1]
+    m = math.prod(lead)
+    if n > 128:
+        first = _cell_sum(x[..., : n // 2], scratch).copy()
+        return np.add(first, _cell_sum(x[..., n // 2 :], scratch), out=first)
+
+    def region(start: int, width: int) -> np.ndarray:
+        return scratch[start * m : (start + width) * m].reshape(*lead, width)
+
+    if n < 8:
+        out = region(0, 1)[..., 0]
+        np.copyto(out, x[..., 0])
+        for i in range(1, n):
+            out += x[..., i]
+        return out
+    blocks = x.reshape(*lead, n // 8, 8)
+    acc, base = blocks[..., 0, :], 0
+    if n > 8:
+        acc, base = np.add(acc, blocks[..., 1, :], out=region(0, 8)), 8
+        for b in range(2, n // 8):
+            acc += blocks[..., b, :]
+    pairs = np.add(acc[..., 0::2], acc[..., 1::2], out=region(base, 4))
+    quads = np.add(pairs[..., 0::2], pairs[..., 1::2], out=region(base + 4, 2))
+    return np.add(quads[..., 0], quads[..., 1], out=region(base + 6, 1)[..., 0])
+
+
 class _ScoreContext:
     """Per-dataset tables: one tally row per S-tuple of variables.
 
@@ -233,15 +279,31 @@ class _ScoreContext:
 
     A case12 batch is scored per prefix: the first G-1 groups of r
     consecutive ranks agree, where r is the last level's radix (S! when the
-    last group is free, 1 when it is a pin). The type without the last
-    group pools its prefix groups' rows and gets its term once per prefix;
-    the type that owns it pools each of the r leaves' rows with its prefix
-    groups' rows and gets its term per leaf. Terms still accumulate as a's
-    term, a's constant, b's term, b's constant, so the scores equal a
-    per-candidate evaluation bit for bit. The pooled (prefixes, r, 2**S)
-    tallies and their terms are written to two buffers that every batch
-    reuses, so that scoring faults in no fresh pages per batch; a context
-    therefore scores one batch at a time, of at most `_SCORE_BATCH` ranks.
+    last group is free, 1 when it is a pin). Per type:
+    - a type that holds one group reads that tuple's term from
+      `tuple_term`, per leaf if it owns the last group, else per prefix;
+    - a type without the last group pools its prefix groups' rows and gets
+      its term once per prefix;
+    - the type that owns the last group sums its prefix groups' rows once
+      per prefix, adds that sum to each of the r leaves' rows and gets its
+      term per leaf.
+    A term is the sum of `pool_term` over the 2**S cells of the pooled
+    tallies, added by `_cell_sum` in numpy's order for `.sum(axis=-1)`;
+    `update` sums each tuple's own term into `tuple_term` by `.sum` (case12
+    only, the one mode that reads it). Terms accumulate as a's term, a's
+    constant, b's term, b's constant, so the scores equal a per-candidate
+    evaluation bit for bit.
+
+    The pooled tallies (int64) and their terms (float64) are laid out leaf
+    major, (r, prefixes, 2**S), so that a prefix sum is added to r
+    contiguous blocks. They are written to two buffers that every batch
+    reuses, so that scoring faults in no fresh pages per batch. Each buffer
+    also lends its memory to the other's phase: the terms buffer holds the
+    summed prefix rows and one gathered row set before any term is taken,
+    and the pooled buffer holds the cell sums once the last count is read.
+    Both buffers hold max(r, 2) cells per prefix, since at S=1 (r = 1) the
+    summed rows and the gathered rows need two. A context therefore scores
+    one batch at a time, of at most `_SCORE_BATCH` ranks.
 
     `update` moves the context to another dataset. When that dataset extends
     the one held (the same patterns first), only the new patterns' tallies
@@ -281,9 +343,28 @@ class _ScoreContext:
             self.lgam = lgam = _lgamma_table(g * n + cell + 1, self.lgam)
             self.pool_term = lgam[1 : g * n + 2]
             self.tuple_score = lgam[cell] - lgam[cell + n] + lgam[self.tally + 1].sum(axis=1)
+        if cfg.mode == "case12":
+            self.tuple_term = self.pool_term[self.tally].sum(axis=1)
+
+    def _prefix_rows(self, prefix: np.ndarray, cols: list[int], out: np.ndarray, spare: np.ndarray):
+        """The sum of the tally rows of prefix[:, j] over j in `cols`, into `out`.
+
+        `spare` (flat int64) holds one gathered row set when `cols` has more
+        than one group.
+        """
+        self.tally.take(prefix[:, cols[0]], axis=0, out=out, mode="clip")
+        if len(cols) > 1:
+            rows = spare[: out.size].reshape(out.shape)
+            for j in cols[1:]:  # integer sums, exact in any order
+                out += self.tally.take(prefix[:, j], axis=0, out=rows, mode="clip")
+        return out
 
     def score(self, lo: int, hi: int) -> np.ndarray:
-        """Scores of ranks [lo, hi); a case12 range lies within one assignment pattern."""
+        """Scores of ranks [lo, hi); a case12 range lies within one assignment pattern.
+
+        Every take has mode="clip", because mode="raise" copies through a
+        temporary; tuple ids and pooled counts (<= G*n) are always in range.
+        """
         cfg = self.cfg
         if cfg.mode == "case1":
             return self.tuple_score[self.tables.case1_ids(lo, hi)].sum(axis=1)
@@ -292,32 +373,37 @@ class _ScoreContext:
         labels = _pattern_from_index(pattern_idx, cfg.g, cfg.num_types)
         pins = _pin_positions(labels, cfg.num_types)
         prefix, leaves = self.tables.case12_ids(pins, sub_lo, sub_lo + hi - lo)
-        cells = leaves.size * cell
-        if self._pooled.size < cells:
-            self._pooled = np.empty(cells, dtype=np.int64)
-            self._terms = np.empty(cells)
+        n_prefix, r = leaves.shape
+        leaves = leaves.T  # leaf major
+        size = max(r, 2) * n_prefix * cell  # the owner's prefix sum and one gathered row set
+        if self._pooled.size < size:
+            self._pooled = np.empty(size, dtype=np.int64)
+            self._terms = np.empty(size)
+        spare, scratch = self._terms.view(np.int64), self._pooled.view(np.float64)
         scores = np.zeros(leaves.shape)
         for label in ("a", "b"):
             cols = [j for j, lab in enumerate(labels[:-1]) if lab == label]
             owns_last = label == labels[-1]
-            if not (cols or owns_last):
+            groups = len(cols) + owns_last
+            if groups == 0:
                 continue
-            width = leaves.shape[1] if owns_last else 1
-            pooled = self._pooled[: len(prefix) * width * cell].reshape(len(prefix), width, cell)
-            # mode="clip", because np.take with mode="raise" copies through a
-            # temporary; tuple ids and pooled counts (<= G*n) are in range
-            if owns_last:
-                np.take(self.tally, leaves, axis=0, out=pooled, mode="clip")
+            if groups == 1:
+                scores += self.tuple_term.take(leaves if owns_last else prefix[:, cols[0]], mode="clip")
             else:
-                pooled.fill(0)
-            for j in cols:  # integer sums, exact in any order
-                pooled += self.tally[prefix[:, j], None]
-            terms = self._terms[: pooled.size].reshape(pooled.shape)
-            scores += np.take(self.pool_term, pooled, out=terms, mode="clip").sum(axis=-1)
+                if owns_last:
+                    pooled = self._pooled[: leaves.size * cell].reshape(r, n_prefix, cell)
+                    self.tally.take(leaves, axis=0, out=pooled, mode="clip")
+                    summed = spare[: n_prefix * cell].reshape(n_prefix, cell)
+                    pooled += self._prefix_rows(prefix, cols, summed, spare[n_prefix * cell :])
+                else:
+                    pooled = self._pooled[: n_prefix * cell].reshape(1, n_prefix, cell)
+                    self._prefix_rows(prefix, cols, pooled[0], spare)
+                terms = self._terms[: pooled.size].reshape(pooled.shape)
+                scores += _cell_sum(self.pool_term.take(pooled, out=terms, mode="clip"), scratch)
             if cfg.scorer != "paper_plugin":
-                scores += self.lgam[cell] - self.lgam[cell + (len(cols) + owns_last) * self.n]
-        skip = sub_lo % leaves.shape[1]
-        return scores.reshape(-1)[skip : skip + hi - lo]
+                scores += self.lgam[cell] - self.lgam[cell + groups * self.n]
+        skip = sub_lo % r
+        return scores.T.reshape(-1)[skip : skip + hi - lo]
 
 
 def _rank_terms(v: int, positions: np.ndarray, arrangements: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +505,7 @@ class _EnumTables:
                 tab_id[lo : lo + step] = _slot_sums(pools[lo : lo + step], positions, *terms)
             sets = np.sort(positions, axis=1)
             comb_digit = _slot_sums(np.arange(left)[None, :], sets, *_rank_terms(left, sets, False))[0]
-            self.arr.append((tab_id, self.comb[j][1][:, comb_digit]))
+            self.arr.append((tab_id, self.comb[j][1].take(comb_digit, axis=1)))  # C order, for row takes
 
     def case12_ids(
         self, pins: tuple[int, ...], sub_lo: int, sub_hi: int
@@ -434,7 +520,7 @@ class _EnumTables:
         radices = [self.comb_radix[j] if j in pins else self.arr_radix[j] for j in range(self.g)]
         r = radices[-1]
         prefix, state = self._walk(tables, radices[:-1], sub_lo // r, -(-sub_hi // r))
-        return prefix, tables[-1][0][state, :r]
+        return prefix, tables[-1][0].take(state, axis=0)
 
     def case1_ids(self, lo: int, hi: int) -> np.ndarray:
         """Tuple ids, shape (hi-lo, g): the first radix columns of `comb`.
@@ -445,18 +531,27 @@ class _EnumTables:
         return np.column_stack((prefix, self.comb[-1][0][state, 0]))
 
     def _walk(self, tables, radices, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ids of the first len(radices) groups of prefix ranks [lo, hi), and the next state."""
+        """Ids of the first len(radices) groups of prefix ranks [lo, hi), and the next state.
+
+        The walk expands one level at a time, so no rank is divided into
+        digits. Its rows are the distinct level-j prefixes of the range, in
+        rank order, starting from the one empty prefix. Each row expands
+        into its whole row of digits, `tab[state, :radix]` (a case1 table is
+        wider than its radix), each child repeating its parent's ids; the
+        children before the range's first prefix and after its last are cut.
+        """
+        ids = np.empty((1, 0), dtype=np.int64)
+        state = np.zeros(1, dtype=np.intp)
+        first = 0  # the prefix rank of the first row
         place = math.prod(radices)
-        rem = np.arange(lo, hi, dtype=np.int64)
-        state = np.zeros(hi - lo, dtype=np.int64)
-        ids = np.empty((hi - lo, len(radices)), dtype=np.int64)
-        for j, radix in enumerate(radices):
+        for (tab_id, tab_next), radix in zip(tables, radices):
             place //= radix
-            digit = rem // place
-            rem = rem - digit * place
-            tab_id, tab_next = tables[j]
-            ids[:, j] = tab_id[state, digit]
-            state = tab_next[state, digit].astype(np.int64)
+            start = lo // place
+            keep = slice(start - first * radix, -(-hi // place) - first * radix)
+            chosen = tab_id.take(state, axis=0)[:, :radix].reshape(-1, 1)[keep]
+            ids = np.concatenate((ids.repeat(radix, axis=0)[keep], chosen), axis=1)
+            state = tab_next.take(state, axis=0)[:, :radix].reshape(-1)[keep]
+            first = start
         return ids, state
 
 
@@ -495,10 +590,11 @@ def _enum_tables(v: int, g: int, s: int, arrangements: bool) -> _EnumTables:
 # starting a pool costs more than scoring it.
 _IN_PROCESS_MAX = 65536
 # Ranks per _ScoreContext.score call; each of the two scoring buffers holds
-# about this many times 2**S cells. On 2 cores (numpy 2.4), 65,536-rank
-# batches scored 7-12% faster but put the c12_many_small benchmark's peak
-# RSS at 40.7 MiB, against 39.1 MiB at 4,096; 2,048-rank batches scored a
-# V=12 sweep about 13% slower than 4,096-rank ones.
+# about this many times 2**S cells. On 2 cores (numpy 2.4), scoring V=12
+# in-process ran at 13.9-14.7M ranks/s with 4,096-rank batches, 10.4-13.0M
+# with 2,048 and 15.4-19.2M with 65,536 (three runs each), but 65,536-rank
+# batches put the c12_many_small benchmark's peak RSS at 40.1 MiB, against
+# 39.0 MiB at 4,096.
 _SCORE_BATCH = 4096
 
 
@@ -517,7 +613,12 @@ def _top_k(ranks: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, n
 
 
 def _score_range(ctx: _ScoreContext, start: int, end: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (ranks, scores) for the rank range [start, end), merged batch by batch."""
+    """Top-k (ranks, scores) for the rank range [start, end), merged batch by batch.
+
+    A batch whose best score is at most the k-th held skips the merge: its
+    ranks are all larger, so even a tie with the k-th loses. A NaN on
+    either side fails that test and takes the merge.
+    """
     cfg = ctx.cfg
     span = _per_pattern(cfg) if cfg.mode == "case12" else candidate_count(cfg)
     ranks = np.empty(0, dtype=np.int64)
@@ -525,11 +626,13 @@ def _score_range(ctx: _ScoreContext, start: int, end: int, k: int) -> tuple[np.n
     rank = start
     while rank < end:
         stop = min(end, (rank // span + 1) * span, rank + _SCORE_BATCH)
-        ranks, scores = _top_k(
-            np.concatenate((ranks, np.arange(rank, stop, dtype=np.int64))),
-            np.concatenate((scores, ctx.score(rank, stop))),
-            k,
-        )
+        batch = ctx.score(rank, stop)
+        if len(scores) < k or not batch.max() <= scores[-1]:
+            ranks, scores = _top_k(
+                np.concatenate((ranks, np.arange(rank, stop, dtype=np.int64))),
+                np.concatenate((scores, batch)),
+                k,
+            )
         rank = stop
     return ranks, scores
 

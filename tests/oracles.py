@@ -7,8 +7,9 @@ so tests can check the fast paths against an independent implementation;
 `oracle_enum_tables` builds the unranking tables themselves by walking
 every (state, digit) pair with a dict of next states
 (`assert_enum_tables_match_oracle` compares a build with it byte for
-byte), and `oracle_tuple_tally` counts each tuple's outcomes with its own
-bincount.
+byte), `oracle_walk` unranks a range of prefix ranks by dividing every
+rank into its digits, and `oracle_tuple_tally` counts each tuple's outcomes
+with its own bincount.
 `em_fit` is not an oracle but a test helper: one dataset's two-type EM
 through the library's own restart starts and EM row pool, keeping
 what `em_two_type_many` drops (every restart's objective and iteration
@@ -214,6 +215,24 @@ def assert_enum_tables_match_oracle(tables, arrangements: bool) -> None:
         for got_tab, want_tab in zip(got, want, strict=True):
             assert (got_tab.dtype, got_tab.shape) == (want_tab.dtype, want_tab.shape)
             assert got_tab.tobytes() == want_tab.tobytes()
+
+
+def oracle_walk(tables, radices, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_EnumTables._walk` by digits: the ids of the first len(radices) groups
+    of prefix ranks [lo, hi), and the next state, one (state, digit) gather
+    per rank and level."""
+    place = math.prod(radices)
+    rem = np.arange(lo, hi, dtype=np.int64)
+    state = np.zeros(hi - lo, dtype=np.int64)
+    ids = np.empty((hi - lo, len(radices)), dtype=np.int64)
+    for j, radix in enumerate(radices):
+        place //= radix
+        digit = rem // place
+        rem = rem - digit * place
+        tab_id, tab_next = tables[j]
+        ids[:, j] = tab_id[state, digit]
+        state = tab_next[state, digit].astype(np.int64)
+    return ids, state
 
 
 def _unrank_combination(pool: list[int], s: int, r: int) -> tuple[list[int], list[int]]:

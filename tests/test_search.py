@@ -45,6 +45,7 @@ from oracles import (
     enumerate_candidates,
     oracle_tuple_tally,
     oracle_unrank,
+    oracle_walk,
     score_candidate_case1,
     score_candidate_marginal,
     score_candidate_paper,
@@ -578,14 +579,28 @@ def unranked_space(cfg):
 
 
 def gather_scores(ctx):
-    """Reference case12 scorer over every rank: each candidate gathers all G tuple rows.
+    """Reference case12 scorer over every rank: each candidate gathers all G tuple rows."""
+    ids, assignments = unranked_space(dataclasses.replace(ctx.cfg, scorer=SCORERS[0]))
+    return candidate_gather(ctx, ids, assignments)
+
+
+@functools.cache
+def unranked_batch(cfg, lo, hi):
+    """Ordered-tuple ids and assignments of ranks [lo, hi), by the scalar oracle unranker."""
+    tuple_index = {tup: i for i, tup in enumerate(itertools.permutations(range(cfg.v), cfg.s))}
+    cands = [oracle_unrank(cfg, rank) for rank in range(lo, hi)]
+    ids = np.array([[tuple_index[grp] for grp in c.grouping.slots] for c in cands])
+    return ids, [c.assignment for c in cands]
+
+
+def candidate_gather(ctx, ids, assignments):
+    """Per-candidate case12 scores of candidates given by their tuple ids and labels.
 
     Both types' pooled tallies and terms are evaluated per candidate, in the
     order a's term, a's constant, b's term, b's constant.
     """
     cfg = ctx.cfg
     cell = 1 << cfg.s
-    ids, assignments = unranked_space(dataclasses.replace(cfg, scorer=SCORERS[0]))
     scores = np.zeros(len(assignments))
     for labels in set(assignments):
         rows = np.array([a == labels for a in assignments])
@@ -607,10 +622,12 @@ class TestPrefixScorer:
 
     @pytest.mark.parametrize("num_types", [1, 2])
     @pytest.mark.parametrize("scorer", SCORERS)
-    @pytest.mark.parametrize("v, g, s", [(6, 2, 3), (8, 4, 2), (9, 3, 3)])
+    @pytest.mark.parametrize("v, g, s", [(3, 3, 1), (4, 4, 1), (6, 2, 3), (8, 4, 2), (9, 3, 3)])
     def test_every_rank_matches_gather_oracle(self, v, g, s, scorer, num_types):
         # V=8 has last radix 2, V=9 has 6; a pattern whose last group is a
-        # pin (all of V=6, and a..ab at V=8 and V=9) has last radix 1
+        # pin (all of V=6, and a..ab at V=8 and V=9) has last radix 1, and
+        # S=1 has last radix 1 throughout, so its owner type pools two or
+        # more prefix groups on a single leaf
         rng = np.random.default_rng(100 + v)
         patterns = random_patterns(rng, v, 120)
         cfg = SearchConfig(v=v, g=g, s=s, num_types=num_types, mode="case12", scorer=scorer)
@@ -621,6 +638,22 @@ class TestPrefixScorer:
             [ctx.score(lo, lo + per_pattern) for lo in range(0, candidate_count(cfg), per_pattern)]
         )
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_v12_batches_match_gather_oracle(self, scorer):
+        # per assignment pattern: a batch at its start, one that starts
+        # mid-prefix, and one that starts mid-prefix and ends at its end
+        cfg = SearchConfig(v=12, g=4, s=3, num_types=2, mode="case12", scorer=scorer)
+        ctx = _ScoreContext(random_patterns(np.random.default_rng(112), 12, 200), cfg)
+        per_pattern = _per_pattern(cfg)
+        batch = search_module._SCORE_BATCH
+        for base in range(0, candidate_count(cfg), per_pattern):
+            for lo in (base, base + per_pattern // 2 + 3, base + per_pattern - batch):
+                assert lo == base or lo % 6 != 0
+                ids, assignments = unranked_batch(dataclasses.replace(cfg, scorer=SCORERS[0]), lo, lo + batch)
+                want = candidate_gather(ctx, ids, assignments)
+                got = ctx.score(lo, lo + batch)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), lo
 
     @pytest.mark.parametrize("scorer", SCORERS)
     def test_range_top_k_matches_oracle_under_ties(self, scorer):
@@ -639,6 +672,201 @@ class TestPrefixScorer:
             order = np.lexsort((np.arange(lo, hi), -oracle[lo:hi]))[:k]
             assert np.array_equal(ranks, order + lo)
             assert np.array_equal(scores.view(np.int64), oracle[lo:hi][order].view(np.int64))
+
+
+def walk_inputs(cfg):
+    """(tables, radices) of every prefix walk of `cfg`: one per assignment
+    pattern in case12, picked as `case12_ids` picks them, and the case1 one."""
+    tables = search_module._enum_tables(cfg.v, cfg.g, cfg.s, arrangements=cfg.mode == "case12")
+    if cfg.mode == "case1":
+        yield tables.comb, search_module._case1_radices(cfg.v, cfg.g, cfg.s)[:-1]
+        return
+    for idx in range(candidate_count(cfg) // _per_pattern(cfg)):
+        labels = search_module._pattern_from_index(idx, cfg.g, cfg.num_types)
+        pins = search_module._pin_positions(labels, cfg.num_types)
+        chosen = [tables.comb[j] if j in pins else tables.arr[j] for j in range(cfg.g)]
+        radices = [tables.comb_radix[j] if j in pins else tables.arr_radix[j] for j in range(cfg.g)]
+        yield chosen, radices[:-1]
+
+
+def walk_ranges(radices, rng):
+    """Prefix-rank ranges [lo, hi): the whole space when it is small; single
+    ranks; ranges that start and end inside a last-level row; ranges across
+    each level's boundaries."""
+    total = math.prod(radices)
+    if total <= 5000:
+        yield 0, total
+    for rank in (0, 1, total - 1, *rng.integers(total, size=5).tolist()):
+        yield rank, rank + 1
+    for _ in range(5):
+        lo = int(rng.integers(total))
+        yield lo, min(total, lo + int(rng.integers(1, 1500)))
+    for j in range(len(radices)):
+        place = math.prod(radices[j + 1 :])
+        for edge in range(place, total, max(place, total // 4)):
+            yield max(0, edge - 3), min(total, edge + place + 2)
+
+
+WALK_CONFIGS = [
+    SearchConfig(v=v, g=g, s=s, num_types=num_types, mode=mode)
+    for v, g, s in ((3, 1, 3), (6, 2, 3), (6, 3, 2), (8, 4, 2), (9, 3, 3), (12, 4, 3))
+    for num_types, mode in ((1, "case1"), (1, "case12"), (2, "case12"))
+    if num_types <= g
+]
+
+
+class TestWalk:
+    """The level-expanding walk equals the walk that divides every rank into digits."""
+
+    @pytest.mark.parametrize("cfg", WALK_CONFIGS, ids=str)
+    def test_ids_and_next_states_match_oracle(self, cfg):
+        tables = search_module._enum_tables(cfg.v, cfg.g, cfg.s, arrangements=cfg.mode == "case12")
+        rng = np.random.default_rng(cfg.v * 10 + cfg.g)
+        for chosen, radices in walk_inputs(cfg):
+            for lo, hi in walk_ranges(radices, rng):
+                ids, state = tables._walk(chosen, radices, lo, hi)
+                want_ids, want_state = oracle_walk(chosen, radices, lo, hi)
+                assert ids.dtype == want_ids.dtype and ids.shape == want_ids.shape
+                assert np.array_equal(ids, want_ids), (lo, hi)
+                assert np.array_equal(state, want_state), (lo, hi)
+
+    def test_case1_levels_are_wider_than_their_radix(self):
+        # the walk must cut each case1 table row to the level's radix
+        cfg = SearchConfig(v=12, g=4, s=3, num_types=1, mode="case1")
+        (chosen, radices), = walk_inputs(cfg)
+        assert all(tab_id.shape[1] > radix for (tab_id, _), radix in zip(chosen, radices))
+
+
+def cell_stack(rng, shape):
+    """Floats of both signs over many magnitudes, with exact zeros of both
+    signs and some all-+0.0 rows: sums whose rounding depends on the order.
+    No row is all -0.0 (see test_negative_zero_rows_agree_once_added_to_scores)."""
+    mags = 10.0 ** rng.integers(-3, 17, size=shape)
+    mags[rng.random(shape) < 0.01] = 1e250
+    x = rng.choice((-1.0, 1.0), size=shape) * rng.random(shape) * mags
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    x[..., :2, :] = 0.0
+    x[..., 0][np.signbit(x).all(axis=-1) & (x == 0).all(axis=-1)] = 0.0
+    return x
+
+
+class TestCellSum:
+    """`_cell_sum` adds in numpy's order for a contiguous `.sum(axis=-1)`."""
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_equals_numpy_sum_bitwise(self, s):
+        # S = 8 (V=8, G=1) is the most cells the capacity guards admit in case12
+        cell = 1 << s
+        rng = np.random.default_rng(s)
+        for shape in ((6, 683, cell), (1, 4096, cell), (1, 3, cell)):
+            size = math.prod(shape)
+            # sliced from longer buffers, as score slices its reused ones
+            terms = np.empty(size + 24)[:size].reshape(shape)
+            terms[...] = cell_stack(rng, shape)
+            scratch = np.empty(size + 24, dtype=np.int64).view(np.float64)
+            got = search_module._cell_sum(terms, scratch)
+            want = terms.sum(axis=-1)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), shape
+            # the data tell orders apart: adding right to left, and from 8
+            # cells on left to right, gives other bits (2 cells have one order)
+            for other in [terms[..., ::-1]] * (s >= 2 and shape[1] > 3) + [terms] * (s >= 3 and shape[1] > 3):
+                assert not np.array_equal(np.cumsum(other, axis=-1)[..., -1].view(np.int64), want.view(np.int64))
+
+    def test_scratch_of_exactly_the_stack_size_suffices(self):
+        for s in range(1, 9):
+            shape = (2, 5, 1 << s)
+            terms = cell_stack(np.random.default_rng(40 + s), shape)
+            got = search_module._cell_sum(terms, np.empty(terms.size))
+            assert np.array_equal(got.view(np.int64), terms.sum(axis=-1).view(np.int64))
+
+    @pytest.mark.parametrize("s", (2, 3, 4))
+    def test_negative_zero_rows_agree_once_added_to_scores(self, s):
+        # numpy starts from +0.0; scores start at +0.0 too, which absorbs it
+        terms = np.full((3, 1 << s), -0.0)
+        got = search_module._cell_sum(terms, np.empty(terms.size))
+        assert np.signbit(got).all() and not np.signbit(terms.sum(axis=-1)).any()
+        assert np.array_equal((np.zeros(3) + got).view(np.int64), (np.zeros(3) + terms.sum(axis=-1)).view(np.int64))
+
+
+class StubScores:
+    """A score context over fixed scores, for `_score_range`."""
+
+    def __init__(self, cfg, scores):
+        self.cfg = cfg
+        self.scores = scores
+
+    def score(self, lo, hi):
+        return self.scores[lo:hi].copy()
+
+
+class TestBatchSkip:
+    """A batch that cannot enter the running top-k skips the merge."""
+
+    # four assignment patterns of 10,080 ranks each; a range from 0 is cut
+    # into the batches [0, 4096), [4096, 8192), [8192, 10080), [10080, 14176), ...
+    CFG = SearchConfig(v=9, g=3, s=3, mode="case12")
+
+    @pytest.fixture
+    def merged(self, monkeypatch):
+        """The end rank of each batch merged into the running top-k."""
+        seen = []
+        real = search_module._top_k
+
+        def counting(ranks, scores, k):
+            seen.append(int(ranks[-1]) + 1)
+            return real(ranks, scores, k)
+
+        monkeypatch.setattr(search_module, "_top_k", counting)
+        return seen
+
+    def scores(self, seed):
+        return np.random.default_rng(seed).normal(size=candidate_count(self.CFG))
+
+    def check(self, scores, lo, hi, k):
+        """`_score_range` equals a lexsort of the whole range by (score desc, rank asc)."""
+        ranks, got = _score_range(StubScores(self.CFG, scores), lo, hi, k)
+        order = np.lexsort((np.arange(lo, hi), -scores[lo:hi]))[:k]
+        assert np.array_equal(ranks, order + lo)
+        assert np.array_equal(got.view(np.int64), scores[lo:hi][order].view(np.int64))
+
+    def test_a_tie_with_the_kth_skips_and_a_better_score_enters(self, merged):
+        k = 7
+        scores = self.scores(3)
+        scores[4096:] -= 10.0
+        kth = np.sort(scores[:4096])[-k]
+        scores[4096 + 17] = kth  # [4096, 8192): its best ties the k-th and loses on rank
+        scores[8192 + 5] = kth + 1.0  # [8192, 10080): strictly better, so it enters
+        self.check(scores, 0, 14176, k)  # [10080, 14176): all below the k-th
+        assert merged == [4096, 10080]
+
+    def test_a_nan_batch_merges(self, merged):
+        scores = self.scores(4)
+        scores[4096:] -= 10.0
+        scores[4096 + 9] = np.nan  # the batch's max is NaN
+        _score_range(StubScores(self.CFG, scores), 0, 8192, 7)
+        assert merged == [4096, 8192]
+
+    def test_a_nan_kth_merges(self, merged):
+        # the first batch holds exactly k ranks, one of them NaN, which sorts last
+        scores = self.scores(5)
+        scores[10078] = np.nan
+        scores[10080:] -= 10.0
+        ranks, held = _score_range(StubScores(self.CFG, scores), 10077, 10080, 3)
+        assert np.isnan(held[-1])
+        _score_range(StubScores(self.CFG, scores), 10077, 14176, 3)
+        assert merged == [10080, 10080, 14176]
+
+    @pytest.mark.parametrize(
+        "lo, hi, stops",
+        ((0, 30, [30]), (4090, 4101, [4101]), (10075, 10090, [10080, 10090]), (40315, 40320, [40320])),
+    )
+    def test_k_larger_than_the_range(self, lo, hi, stops, merged):
+        scores = self.scores(lo)
+        scores[lo + 1] = scores[lo]  # a tie, broken by rank
+        self.check(scores, lo, hi, 50)
+        assert merged == stops
 
 
 TALLY_GEOMETRIES = [(6, 2, 3), (8, 4, 2), (9, 3, 3), (12, 4, 3)]
