@@ -19,6 +19,15 @@ stop, so that its passes stay full while a few slow rows run on. It
 returns each dataset's winning row as arrays; one dataset is its
 (1, N, K) case. Inputs are validated once, at entry.
 
+A pass (_em_e_step, then _em_m_step) takes the max and the sum over the 2
+types elementwise (np.maximum, a + b), not as reductions over a length-2
+axis, which numpy runs as one inner-loop call per unit; the two forms give
+the same bits but for the sign of a NaN, and tests/oracles.py keeps the
+reduction form. The sums over units and over K stay numpy reductions:
+strided adds in numpy's order made no urns_em pass faster and passes of a
+few rows slower. The matrix products stay BLAS calls of the shapes one
+restart gives, since the pinned curves depend on their rounding.
+
 Per-unit estimates are read out on arrays: mixture_rows mixes (..., K)
 type distributions by (..., N, 2) responsibilities, so a four-urns run
 forms every checkpoint's estimates at once. The raw estimate is
@@ -92,15 +101,39 @@ def _em_m_step(counts: np.ndarray, resp: np.ndarray, pseudocount: float) -> np.n
     return (pooled + pseudocount) / total
 
 
-# Rows (dataset x restart) the EM pool holds at once. A pass costs about 25
-# numpy calls whatever its row count. Most rows stop within a few E-steps
-# and a few run to em_max_iters, so a pool that takes in new rows as others
-# stop keeps its passes full, where fixed batches ran on for their slowest
-# row. On the seed-1 urns_em benchmark (24 runs x 190 checkpoints x 5
-# restarts, 221,892 row M-steps; 2 cores) 80-row batches took 7,658 passes,
-# and a pool of 100, 200 or 400 rows 3,074, 1,554 or 905. 400 rows ran
-# about 15% faster than 200 but raised the benchmark's peak RSS by about
-# 0.7 MiB (1.7%), where 200 rows raised it by 0.04 MiB.
+def _em_e_step(counts: np.ndarray, q: np.ndarray, pseudocount: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A,) objectives and (A, N, 2) responsibilities of (A, N, K) counts under (A, 2, K) types.
+
+    The max and the sum over the 2 types are elementwise, which gives the
+    bits of .max(axis=2) and .sum(axis=2) (a NaN may carry the other sign)
+    at a fraction of their cost.
+    """
+    log_q = np.log(q)
+    # (A, N, 2), C-ordered like the (N, 2) stack of one restart: the
+    # M-step reads its columns, and their stride sets BLAS rounding.
+    ll = np.ascontiguousarray((counts[:, None] @ log_q[..., None])[..., 0].transpose(0, 2, 1))
+    peak = np.maximum(ll[..., 0], ll[..., 1])
+    shifted = np.exp(ll - peak[..., None])
+    norm = shifted[..., 0] + shifted[..., 1]
+    obj = np.sum(peak + np.log(0.5 * norm), axis=1) + pseudocount * (
+        log_q[:, 0].sum(axis=1) + log_q[:, 1].sum(axis=1)
+    )
+    return obj, shifted / norm[..., None]
+
+
+# Rows (dataset x restart) the EM pool holds at once. A pass makes about 28
+# numpy calls whatever its row count (about 42 when rows stop). On the
+# seed-1 urns_em spec, at 143 rows per pass on average, a warm pass took
+# 139-140 microseconds, against 177-181 when its max and sum over the 2
+# types were .max/.sum reductions (2 cores, numpy 2.4). Most rows stop
+# within a few E-steps and a few run to em_max_iters, so a pool that takes
+# in new rows as others stop keeps its passes full, where fixed batches
+# ran on for their slowest row. On the seed-1 urns_em benchmark (24 runs x
+# 190 checkpoints x 5 restarts, 221,892 row M-steps; 2 cores) 80-row
+# batches took 7,658 passes, and a pool of 100, 200 or 400 rows 3,074,
+# 1,554 or 905. 400 rows ran about 15% faster than 200 but raised the
+# benchmark's peak RSS by about 0.7 MiB (1.7%), where 200 rows raised it
+# by 0.04 MiB.
 _EM_POOL_ROWS = 200
 
 
@@ -170,17 +203,7 @@ def _em_pool(
             taken = end
         if rows.size == 0:
             break
-        log_q = np.log(q)
-        # (A, N, 2), C-ordered like the (N, 2) stack of one restart: the
-        # M-step reads its columns, and their stride sets BLAS rounding.
-        ll = np.ascontiguousarray((live_counts[:, None] @ log_q[..., None])[..., 0].transpose(0, 2, 1))
-        peak = ll.max(axis=2)
-        shifted = np.exp(ll - peak[..., None])
-        norm = shifted.sum(axis=2)
-        obj = np.sum(peak + np.log(0.5 * norm), axis=1) + cfg.pseudocount * (
-            log_q[:, 0].sum(axis=1) + log_q[:, 1].sum(axis=1)
-        )
-        resp = shifted / norm[..., None]
+        obj, resp = _em_e_step(live_counts, q, cfg.pseudocount)
         done = (np.abs(obj - prev) < cfg.em_tol) | (born == step - cfg.em_max_iters)
         if done.any():
             stopped.append((rows[done], q[done], resp[done], obj[done], step + 1 - born[done]))
@@ -194,16 +217,16 @@ def _em_pool(
     return win_q, win_resp, win_obj, win_iters
 
 
-def _restart_starts(counts: np.ndarray, cfg: EstimatorConfig, seeds: Sequence[int]) -> np.ndarray:
-    """(C*R, 2, K) noisy starts: dataset c's R restarts perturb its pooled mean with seeds[c]."""
+def _restart_starts(counts: np.ndarray, cfg: EstimatorConfig, seeds: np.ndarray) -> np.ndarray:
+    """(C*R, 2, K) noisy starts: dataset c's R restarts perturb its pooled mean
+    with the uint64 seeds[c]."""
     k = counts.shape[2]
     pooled_counts = counts.sum(axis=1)
     pooled = (pooled_counts + cfg.pseudocount) / (
         pooled_counts.sum(axis=1, keepdims=True) + k * cfg.pseudocount
     )
     n_units = cfg.em_restarts * 2 * k
-    states = np.array([RngState(seed).state for seed in seeds], dtype=np.uint64)
-    units = next_units(states, n_units)[0].reshape(len(seeds), cfg.em_restarts, 2, k)
+    units = next_units(seeds, n_units)[0].reshape(len(seeds), cfg.em_restarts, 2, k)
     weights = pooled[:, None, None, :] * (1.0 + cfg.em_init_noise * (2.0 * units - 1.0))
     return (weights / weights.sum(axis=3, keepdims=True)).reshape(-1, 2, k)
 
@@ -221,11 +244,13 @@ def _checked_init(init_responsibilities, shape: tuple[int, ...]) -> np.ndarray:
 def em_two_type_many(
     counts: np.ndarray,
     cfg: EstimatorConfig,
-    seeds: Sequence[int] | None = None,
+    seeds: Sequence[int] | np.ndarray | None = None,
     init_responsibilities: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-type EM over each (N, K) count matrix of counts (C, N, K): the units
-    are its N rows, and seeds[c] seeds dataset c's restarts.
+    are its N rows, and seeds[c] seeds dataset c's restarts. seeds is a
+    sequence of ints, each taken modulo 2**64 as RngState takes it, or a
+    uint64 array such as rng.derive_seeds gives.
 
     E-step: unit responsibilities from the type likelihoods under a uniform
     1/2 class prior (log-sum-exp). M-step: each type's distribution is the
@@ -248,6 +273,8 @@ def em_two_type_many(
     if init_responsibilities is None:
         if seeds is None or len(seeds) != len(counts):
             raise ValueError("em_two_type_many needs one seed per dataset")
+        if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+            seeds = np.array([RngState(seed).state for seed in seeds], dtype=np.uint64)
         q, resp, _, _ = _em_pool(
             counts, cfg.em_restarts, lambda lo, hi: _restart_starts(counts[lo:hi], cfg, seeds[lo:hi]), cfg
         )
@@ -349,7 +376,7 @@ def fit_bit_case(
     cfg: EstimatorConfig,
     groupings: Sequence[Grouping | None] | None = None,
     assignments: Sequence[Sequence[str]] | None = None,
-    seeds: Sequence[int] | None = None,
+    seeds: Sequence[int] | np.ndarray | None = None,
 ) -> BitCaseFit:
     """Fit ladder case `case` (one of BIT_CASES) to the first n V-bit patterns, for each n in checkpoints.
 

@@ -28,8 +28,8 @@ from .estimate import (
     fit_bit_case,
     mixture_rows,
 )
-from .prob import dirichlet_mean_rows, joint_from_independent_bits, kl_divergence, kl_divergence_rows
-from .rng import RngState, derive_seed
+from .prob import _read_only, dirichlet_mean_rows, joint_from_independent_bits, kl_divergence, kl_divergence_rows
+from .rng import RngState, derive_seed, derive_seeds
 from .search import Candidate, SearchConfig, SearchSession, candidate_count, search
 from .simulate import (
     BitsConfig,
@@ -58,30 +58,36 @@ class ExpensiveSearchError(RuntimeError):
     """A search case was requested at a scale that needs explicit opt-in."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KlCurve:
-    """One plotted line: KL to the truth at each checkpoint."""
+    """One plotted line: KL to the truth at each checkpoint.
+
+    samples (int64) and values (float64) are read-only 1-d arrays of equal
+    length, samples strictly increasing; both are checked and copied once,
+    here.
+    """
 
     label: str
-    points: tuple[tuple[int, float], ...]
+    samples: np.ndarray
+    values: np.ndarray
     per_unit: tuple["KlCurve", ...] | None = None
 
     def __post_init__(self) -> None:
-        pts = tuple((int(n), float(v)) for n, v in self.points)
-        samples = [n for n, _ in pts]
-        if any(b <= a for a, b in zip(samples, samples[1:])):
+        samples = _read_only(self.samples, np.int64)
+        values = _read_only(self.values)
+        if samples.ndim != 1 or values.shape != samples.shape:
+            raise ValueError(f"samples and values must be 1-d of one length, got {samples.shape} and {values.shape}")
+        if (samples[1:] <= samples[:-1]).any():
             raise ValueError("checkpoint samples must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "values", values)
         if self.per_unit is not None:
             object.__setattr__(self, "per_unit", tuple(self.per_unit))
 
     @property
-    def samples(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.points)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.points)
+    def points(self) -> tuple[tuple[int, float], ...]:
+        """The (samples, value) pairs as Python numbers, built on each call."""
+        return tuple(zip(self.samples.tolist(), self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -171,15 +177,14 @@ def _truth_seed(spec: ExperimentSpec, run_seed: int) -> int:
 
 
 def average_curves(curves: Sequence[KlCurve]) -> KlCurve:
-    """Pointwise arithmetic mean; +inf points propagate into the mean."""
+    """Pointwise arithmetic mean, one mean(axis=0) over the (runs, checkpoints)
+    stack; +inf points propagate into the mean."""
     if not curves:
         raise ValueError("need at least one curve")
     grid = curves[0].samples
     for c in curves[1:]:
-        if c.samples != grid:
+        if not np.array_equal(c.samples, grid):
             raise ValueError("curves must share an identical checkpoint grid")
-    values = np.array([c.values for c in curves])
-    means = values.mean(axis=0)
     per_unit = None
     firsts = curves[0].per_unit
     if firsts is not None and all(
@@ -189,11 +194,8 @@ def average_curves(curves: Sequence[KlCurve]) -> KlCurve:
             average_curves([c.per_unit[i] for c in curves])  # type: ignore[index]
             for i in range(len(firsts))
         )
-    return KlCurve(
-        label=curves[0].label,
-        points=tuple(zip(grid, (float(m) for m in means))),
-        per_unit=per_unit,
-    )
+    means = np.stack([c.values for c in curves]).mean(axis=0)
+    return KlCurve(curves[0].label, grid, means, per_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +220,16 @@ class FourUrnsResult:
     avg_ours_hard: KlCurve | None
 
 
-def _per_urn_curves(label: str, grid, per_urn_kls) -> KlCurve:
-    n_urns = len(per_urn_kls[0])
-    totals = [float(sum(row)) for row in per_urn_kls]
-    subs = tuple(
-        KlCurve(
-            label=f"urn{i + 1}",
-            points=tuple((n, row[i]) for n, row in zip(grid, per_urn_kls)),
-        )
-        for i in range(n_urns)
-    )
-    return KlCurve(label=label, points=tuple(zip(grid, totals)), per_unit=subs)
+def _per_urn_curves(label: str, grid, kls: np.ndarray) -> KlCurve:
+    """The total curve of a (checkpoints, urns) KL array, with one sub-curve
+    per urn column. The total adds the columns left to right onto +0.0, the
+    order the pinned curve bytes were made with."""
+    grid = np.asarray(grid, dtype=np.int64)
+    total = kls[:, 0] + 0.0
+    for u in range(1, kls.shape[1]):
+        total += kls[:, u]
+    subs = tuple(KlCurve(f"urn{u + 1}", grid, kls[:, u]) for u in range(kls.shape[1]))
+    return KlCurve(label, grid, total, subs)
 
 
 def _four_urns_runs(spec: ExperimentSpec, run_indices: Sequence[int]) -> tuple[FourUrnsRun, ...]:
@@ -245,14 +246,14 @@ def _four_urns_runs(spec: ExperimentSpec, run_indices: Sequence[int]) -> tuple[F
     truths = [build_urn_truth(spec.urn_config, _truth_seed(spec, run_seed)) for run_seed in run_seeds]
     n_urns, k = spec.urn_config.n_urns, spec.urn_config.n_colors
     counts = np.empty((len(truths) * n_cp, n_urns, k))
-    seeds: list[int] = []
+    seeds = np.empty(len(truths) * n_cp, dtype=np.uint64)
     urn1_samples = []
     for i, (run_seed, truth) in enumerate(zip(run_seeds, truths)):
         samples, _ = draw_urn_samples(truth, RngState(derive_seed(run_seed, 2)), spec.n_samples)
         counts[i * n_cp : (i + 1) * n_cp] = checkpoint_counts(
             samples[:, 0] * k + samples[:, 1], grid, n_urns * k
         ).reshape(-1, n_urns, k)
-        seeds.extend(derive_seed(run_seed, 1000 + c) for c in range(n_cp))
+        seeds[i * n_cp : (i + 1) * n_cp] = derive_seeds(run_seed, np.arange(1000, 1000 + n_cp))
         urn1_samples.append(tuple((np.flatnonzero(samples[:, 0] == 0) + 1).tolist()))
     q, resp = em_two_type_many(counts, spec.estimator, seeds)
 
@@ -275,9 +276,9 @@ def _four_urns_runs(spec: ExperimentSpec, run_indices: Sequence[int]) -> tuple[F
     return tuple(
         FourUrnsRun(
             truth=truth,
-            raw=_per_urn_curves("raw", grid, raw.tolist()),
-            ours=_per_urn_curves("ours", grid, ours.tolist()),
-            ours_hard=None if hard is None else _per_urn_curves("ours_hard", grid, hard.tolist()),
+            raw=_per_urn_curves("raw", grid, raw),
+            ours=_per_urn_curves("ours", grid, ours),
+            ours_hard=None if hard is None else _per_urn_curves("ours_hard", grid, hard),
             urn1_samples=urn1,
         )
         for truth, (raw, ours, hard), urn1 in zip(truths, kls, urn1_samples)
@@ -411,14 +412,10 @@ def _bitvectors_single_run(spec: ExperimentSpec, run_index: int) -> BitVectorsRu
             found = _searched_candidates(spec, case, patterns, grid)
             groupings = [candidate.grouping for candidate in found]
             assignments = [candidate.assignment for candidate in found] if case == "c12" else None
-        seeds = [
-            derive_seed(run_seed, 1000 + c * len(BIT_CASES) + BIT_CASES.index(case)) for c in range(len(grid))
-        ]
+        seeds = derive_seeds(run_seed, 1000 + np.arange(len(grid)) * len(BIT_CASES) + BIT_CASES.index(case))
         fit = fit_bit_case(case, patterns, grid, truth.v, spec.estimator, groupings, assignments, seeds)
-        kls: list[float] = []
-        for lo, hi in fit.chunks(_JOINT_ROWS):
-            kls.extend(kl_divergence_rows(joint, fit.joints(lo, hi)).tolist())
-        curves[case] = KlCurve(label=case, points=tuple(zip(grid, kls)))
+        kls = [kl_divergence_rows(joint, fit.joints(lo, hi)) for lo, hi in fit.chunks(_JOINT_ROWS)]
+        curves[case] = KlCurve(case, grid, np.concatenate([np.empty(0), *kls]))
     return BitVectorsRun(truth=truth, curves=curves)
 
 

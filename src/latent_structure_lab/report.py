@@ -46,11 +46,9 @@ def write_curves_csv(path: str | Path, entries: Sequence[CurveEntry]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["case", "run", "samples", "kl", "urn"])
         for case, run, curve in entries:
-            for n, v in curve.points:
-                writer.writerow([case, run, n, _format_kl(v), ""])
-            for urn_index, sub in enumerate(curve.per_unit or (), start=1):
-                for n, v in sub.points:
-                    writer.writerow([case, run, n, _format_kl(v), urn_index])
+            for urn, sub in [("", curve), *enumerate(curve.per_unit or (), start=1)]:
+                for n, v in zip(sub.samples.tolist(), sub.values.tolist()):
+                    writer.writerow([case, run, n, _format_kl(v), urn])
 
 
 def read_curves_csv(path: str | Path) -> list[CurveEntry]:
@@ -75,16 +73,17 @@ def read_curves_csv(path: str | Path) -> list[CurveEntry]:
                 totals[key].append(point)
             else:
                 units[key].setdefault(int(urn), []).append(point)
+
+    def curve(label: str, points: list[tuple[int, float]], per_unit=None) -> KlCurve:
+        return KlCurve(label, [n for n, _ in points], [v for _, v in points], per_unit)
+
     out: list[CurveEntry] = []
     for key in order:
         case, run = key
         per_unit = None
         if units[key]:
-            per_unit = tuple(
-                KlCurve(label=f"urn{i}", points=tuple(units[key][i]))
-                for i in sorted(units[key])
-            )
-        out.append((case, run, KlCurve(label=case, points=tuple(totals[key]), per_unit=per_unit)))
+            per_unit = tuple(curve(f"urn{i}", units[key][i]) for i in sorted(units[key]))
+        out.append((case, run, curve(case, totals[key], per_unit)))
     return out
 
 
@@ -128,11 +127,11 @@ def render_svg(
     px0, px1 = ml, width - mr
     py0, py1 = height - mb, mt
 
-    xs = [n for _, c in curves for n, _ in c.points]
+    xs = [n for _, c in curves for n in c.samples.tolist()]
     ys = [
         v
         for _, c in curves
-        for _, v in c.points
+        for v in c.values.tolist()
         if math.isfinite(v) and (not log_y or v > 0.0)
     ]
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0, 1)
@@ -213,7 +212,7 @@ def render_svg(
         color = _PALETTE[index % len(_PALETTE)]
         pts = [
             (n, v)
-            for n, v in curve.points
+            for n, v in zip(curve.samples.tolist(), curve.values.tolist())
             if math.isfinite(v) and (not log_y or v > 0.0)
         ]
         coords = " ".join(f"{sx(n):.2f},{sy(v):.2f}" for n, v in pts)

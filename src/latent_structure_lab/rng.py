@@ -58,17 +58,28 @@ def next_units(rng: RngState | np.ndarray, n: int) -> tuple[np.ndarray, RngState
         units, states = next_units(np.array([rng.state], dtype=np.uint64), n)
         return units[0], RngState(int(states[0]))
     states = np.asarray(rng, dtype=np.uint64)
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + states[:, None]
+    z = _mix(np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + states[:, None])
+    return (z >> np.uint64(11)).astype(np.float64) / _UNIT, states + np.uint64(n * _GOLDEN & _MASK64)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output function of advanced uint64 states, in wrapping arithmetic."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) / _UNIT, states + np.uint64(n * _GOLDEN & _MASK64)
+    return z ^ (z >> np.uint64(31))
 
 
 def derive_seed(base: int, index: int) -> int:
     """Stable sub-seed: the first output of a stream seeded with base+index."""
     z, _ = next_u64(RngState(base + index))
     return z
+
+
+def derive_seeds(base: int, indices) -> np.ndarray:
+    """derive_seed(base, i) for every integer i of indices, as a uint64 array
+    of indices' shape; base + i wraps modulo 2**64 as in RngState."""
+    index = np.asarray(indices, dtype=np.int64).astype(np.uint64)
+    return _mix(index + np.uint64((base + _GOLDEN) & _MASK64))
 
 
 def draw_index(weights: np.ndarray, rng: RngState) -> tuple[int, RngState]:

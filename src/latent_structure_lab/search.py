@@ -602,12 +602,15 @@ def _top_k(ranks: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, n
     """The k best by (score desc, rank asc).
 
     Every score at or above the k-th largest is kept for the final sort, so
-    ties with the k-th still break by rank.
+    ties with the k-th still break by rank. NaN ranks below every score:
+    both the threshold and the sort order the negated scores, which puts
+    NaN last, and a NaN threshold (fewer than k other scores) keeps all.
     """
     if scores.size > k:
-        kth = np.partition(scores, scores.size - k)[scores.size - k]
-        keep = np.flatnonzero(scores >= kth)
-        ranks, scores = ranks[keep], scores[keep]
+        kth = np.partition(-scores, k - 1)[k - 1]
+        if not np.isnan(kth):
+            keep = np.flatnonzero(-scores <= kth)
+            ranks, scores = ranks[keep], scores[keep]
     order = np.lexsort((ranks, -scores))[:k]
     return ranks[order], scores[order]
 

@@ -10,16 +10,20 @@ every (state, digit) pair with a dict of next states
 byte), `oracle_walk` unranks a range of prefix ranks by dividing every
 rank into its digits, and `oracle_tuple_tally` counts each tuple's outcomes
 with its own bincount.
-`em_fit` is not an oracle but a test helper: one dataset's two-type EM
-through the library's own restart starts and EM row pool, keeping
-what `em_two_type_many` drops (every restart's objective and iteration
-count) so tests can compare them with a scalar EM; `em_objective_path`
-reads the objective after each of the first M-steps through it.
-`oracle_four_urns_single_run` likewise draws a four-urns run one sample at
-a time (`oracle_draw_urn_sample`), fits each checkpoint with its own
-`em_fit` call and reads it out through the scalar `oracle_dirichlet_mean`,
-`oracle_per_unit_mixture` and `oracle_kl_divergence`, one Categorical per
-urn. `oracle_bitvectors_single_run` fits every ladder case at every
+`oracle_em_e_step` is the EM pass's E-step with numpy's .max/.sum
+reductions over the 2 types, which the library's elementwise E-step must
+match bit for bit, but for the sign of a NaN. `em_fit` is not an oracle
+but a test helper: one dataset's two-type EM through the library's own
+restart starts and EM row pool, keeping what `em_two_type_many` drops
+(every restart's objective and iteration count) so tests can compare them
+with a scalar EM; `em_objective_path` reads the objective after each of
+the first M-steps through it. `oracle_four_urns_single_run` likewise draws
+a four-urns run one sample at a time (`oracle_draw_urn_sample`), fits each
+checkpoint with its own `em_fit` call and reads it out through the scalar
+`oracle_dirichlet_mean`, `oracle_per_unit_mixture` and
+`oracle_kl_divergence`, one Categorical per urn, adding each curve total
+one float at a time (`oracle_per_urn_curves`).
+`oracle_bitvectors_single_run` fits every ladder case at every
 checkpoint on its own, from per-group `TallyVector`s (`oracle_bit_case_joint`),
 and builds each joint by a per-pattern gather (`oracle_joint_from_grouping`).
 """
@@ -47,7 +51,6 @@ from latent_structure_lab.experiment import (
     FourUrnsRun,
     KlCurve,
     _curve_checkpoints,
-    _per_urn_curves,
     _search_config,
     _truth_seed,
 )
@@ -117,7 +120,7 @@ def em_fit(counts, cfg: EstimatorConfig, seed: int, init_responsibilities=None) 
     refining init_responsibilities; the first largest objective wins."""
     counts = np.asarray(counts, dtype=np.float64)[None]
     if init_responsibilities is None:
-        starts = _restart_starts(counts, cfg, [seed])
+        starts = _restart_starts(counts, cfg, np.array([seed], dtype=np.uint64))
     else:
         init = np.asarray(init_responsibilities, dtype=np.float64)
         starts = _em_m_step(counts, init[None], cfg.pseudocount)
@@ -134,6 +137,21 @@ def em_fit(counts, cfg: EstimatorConfig, seed: int, init_responsibilities=None) 
         tuple(objectives.tolist()),
         tuple(iterations.tolist()),
     )
+
+
+def oracle_em_e_step(counts: np.ndarray, q: np.ndarray, pseudocount: float) -> tuple[np.ndarray, np.ndarray]:
+    """The EM pass's E-step by numpy reductions: (A,) objectives and (A, N, 2)
+    responsibilities of (A, N, K) counts under (A, 2, K) types, with .max and
+    .sum over the 2 types."""
+    log_q = np.log(q)
+    ll = np.ascontiguousarray((counts[:, None] @ log_q[..., None])[..., 0].transpose(0, 2, 1))
+    peak = ll.max(axis=2)
+    shifted = np.exp(ll - peak[..., None])
+    norm = shifted.sum(axis=2)
+    obj = np.sum(peak + np.log(0.5 * norm), axis=1) + pseudocount * (
+        log_q[:, 0].sum(axis=1) + log_q[:, 1].sum(axis=1)
+    )
+    return obj, shifted / norm[..., None]
 
 
 def em_objective_path(counts, cfg: EstimatorConfig, init_responsibilities, steps: int) -> np.ndarray:
@@ -573,11 +591,25 @@ def oracle_four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrn
 
     return FourUrnsRun(
         truth=truth,
-        raw=_per_urn_curves("raw", grid, raw_rows),
-        ours=_per_urn_curves("ours", grid, ours_rows),
-        ours_hard=_per_urn_curves("ours_hard", grid, hard_rows) if spec.emit_hard_readout else None,
+        raw=oracle_per_urn_curves("raw", grid, raw_rows),
+        ours=oracle_per_urn_curves("ours", grid, ours_rows),
+        ours_hard=oracle_per_urn_curves("ours_hard", grid, hard_rows) if spec.emit_hard_readout else None,
         urn1_samples=tuple(urn1_samples),
     )
+
+
+def oracle_per_urn_curves(label: str, grid: Sequence[int], rows: list[list[float]]) -> KlCurve:
+    """A total curve over per-urn KL rows, one float at a time: each total
+    adds its row's values left to right onto 0.0, and urn i's sub-curve
+    takes the i-th value of every row."""
+    totals = []
+    for row in rows:
+        total = 0.0
+        for value in row:
+            total += value
+        totals.append(total)
+    subs = tuple(KlCurve(f"urn{i + 1}", grid, [row[i] for row in rows]) for i in range(len(rows[0])))
+    return KlCurve(label, grid, totals, subs)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +668,7 @@ def oracle_bitvectors_single_run(spec: ExperimentSpec, run_index: int) -> BitVec
     joint = true_joint(truth)
     search_at = spec.search.checkpoints
     best: dict[str, Candidate] = {}
-    rows: dict[str, list[tuple[int, float]]] = {case: [] for case in spec.cases}
+    rows: dict[str, list[float]] = {case: [] for case in spec.cases}
     for cp_index, n in enumerate(_curve_checkpoints(spec)):
         for case in spec.cases:
             seed = derive_seed(run_seed, 1000 + cp_index * len(BIT_CASES) + BIT_CASES.index(case))
@@ -649,6 +681,7 @@ def oracle_bitvectors_single_run(spec: ExperimentSpec, run_index: int) -> BitVec
             est = oracle_bit_case_joint(
                 case, patterns[:n], truth.v, spec.estimator, grouping, assignment, seed
             )
-            rows[case].append((n, oracle_kl_divergence(joint, est)))
-    curves = {case: KlCurve(label=case, points=tuple(rows[case])) for case in spec.cases}
+            rows[case].append(oracle_kl_divergence(joint, est))
+    grid = _curve_checkpoints(spec)
+    curves = {case: KlCurve(case, grid, rows[case]) for case in spec.cases}
     return BitVectorsRun(truth=truth, curves=curves)

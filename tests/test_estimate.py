@@ -26,7 +26,7 @@ from latent_structure_lab.prob import (
     kl_divergence,
     kl_divergence_rows,
 )
-from latent_structure_lab.rng import RngState, derive_seed, next_unit
+from latent_structure_lab.rng import RngState, derive_seed, derive_seeds, next_unit
 from latent_structure_lab.simulate import BitsConfig, build_bitvector_truth, draw_bitvector
 import oracles
 from oracles import (
@@ -331,6 +331,54 @@ class TestEmMatchesOracle:
         assert_winners_equal(q[0], resp[0], em_fit(counts, CFG, 0, init_responsibilities=init))
 
 
+def assert_bits_equal_but_nan_sign(got, want):
+    """Equal bits, except that a NaN may carry the other sign bit: np.maximum
+    and .max return the NaN of 0 * -inf with opposite signs. Curves write
+    either as nan, and a NaN objective ranks the same either way."""
+    nan = np.isnan(got)
+    assert np.array_equal(nan, np.isnan(want))
+    np.testing.assert_array_equal(bits(np.where(nan, np.nan, got)), bits(np.where(nan, np.nan, want)))
+
+
+class TestEmPassMatchesReductions:
+    """The E-step's elementwise max and sum over the 2 types give the bits of .max/.sum."""
+
+    @staticmethod
+    def rows(n_units, k, seed):
+        """(A, N, K) counts and (A, 2, K) types: random rows, rows with all-zero
+        units, rows whose two types tie exactly on some or all units, and
+        rows with a zero type weight (log -inf, and NaN where a count of 0
+        meets it)."""
+        rng = np.random.default_rng(seed)
+        scales = (2, 3, 30, 300, 5000, 9, 40, 40, 40)
+        counts = np.stack([rng.integers(0, scale, size=(n_units, k)) for scale in scales]).astype(float)
+        counts[3, : (n_units + 1) // 2] = 0.0  # some units empty
+        counts[4] = 0.0  # every unit empty
+        q = rng.random((len(counts), 2, k)) ** 3 + 1e-300
+        q /= q.sum(axis=2, keepdims=True)
+        q[1, 1] = q[1, 0]  # equal types: every unit ties
+        half = (k + 1) // 2
+        q[5, 1] = np.concatenate([q[5, 0, :half], q[5, 0, half:][::-1]])  # equal on the first cells only
+        counts[5, 0, half:] = 0.0  # so unit 0, counted there only, ties
+        q[6:, :, 0] = (0.0, 0.5), (0.5, 0.0), (0.0, 0.0)  # NaN in type a; -inf in b; -inf in both
+        counts[6, :, 0] = 0.0
+        counts[7:, :, 0] = 1.0
+        return counts, q
+
+    @pytest.mark.parametrize("n_units", (1, 2, 3, 4, 7, 8, 9, 16))
+    @pytest.mark.parametrize("k", (1, 2, 3, 7, 8, 9, 16, 64, 129))
+    def test_e_step_equals_reductions_bitwise(self, n_units, k):
+        counts, q = self.rows(n_units, k, 7919 * n_units + k)
+        with np.errstate(all="ignore"):
+            obj, resp = estimate_module._em_e_step(counts, q, 0.5)
+            want_obj, want_resp = oracles.oracle_em_e_step(counts, q, 0.5)
+            ll = np.einsum("ank,atk->ant", counts[:6], np.log(q[:6]))
+        assert (ll[1, :, 0] == ll[1, :, 1]).all() and ll[5, 0, 0] == ll[5, 0, 1]
+        assert np.isnan(obj[6]) and np.isnan(obj[8]) and np.isfinite(obj[:6]).all()
+        assert_bits_equal_but_nan_sign(obj, want_obj)
+        assert_bits_equal_but_nan_sign(resp, want_resp)
+
+
 def assert_winners_equal(q, resp, want):
     """em_two_type_many's winner arrays for one dataset equal an EmFit bit for bit."""
     np.testing.assert_array_equal(bits(q[0]), bits(want.q_a.weights))
@@ -372,6 +420,32 @@ class TestEmManyMatchesSingleCalls:
     def test_rejects_bad_init_responsibilities(self, init):
         with pytest.raises(ValueError, match="init_responsibilities"):
             em_two_type_many(np.ones((2, 4, 8)), CFG, init_responsibilities=init)
+
+    def test_array_seeds_equal_seed_lists(self):
+        # the uint64 seeds that derive_seeds gives start the restarts as the
+        # list of scalar derive_seed values does, and as scalar draws do
+        rng = np.random.default_rng(8)
+        counts = rng.integers(0, 30, size=(6, 4, 8)).astype(float)
+        for base in (5, 2**64 - 3):
+            seeds = derive_seeds(base, np.arange(1000, 1006))
+            listed = [derive_seed(base, i) for i in range(1000, 1006)]
+            starts = estimate_module._restart_starts(counts, CFG, seeds)
+            np.testing.assert_array_equal(bits(starts), bits(estimate_module._restart_starts(counts, CFG, listed)))
+            for c, seed in enumerate(listed):
+                pooled = oracle_dirichlet_mean(TallyVector(counts[c].sum(axis=0)), CFG.pseudocount)
+                state = RngState(seed)
+                for r in range(CFG.em_restarts):
+                    for t in range(2):
+                        want, state = _oracle_perturbed(pooled, CFG.em_init_noise, state)
+                        np.testing.assert_array_equal(bits(starts[c * CFG.em_restarts + r, t]), bits(want.weights))
+            for got, want in zip(em_two_type_many(counts, CFG, seeds), em_two_type_many(counts, CFG, listed)):
+                np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_seed_lists_wrap_modulo_2_to_64(self):
+        counts = np.random.default_rng(9).integers(0, 30, size=(2, 4, 8)).astype(float)
+        wrapped = em_two_type_many(counts, CFG, np.array([2**64 - 1, 2**64 - 7], dtype=np.uint64))
+        for got, want in zip(em_two_type_many(counts, CFG, [-1, -7]), wrapped):
+            np.testing.assert_array_equal(bits(got), bits(want))
 
     def test_row_cap_does_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(5)

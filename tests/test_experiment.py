@@ -45,13 +45,29 @@ import workloads  # noqa: E402
 
 class TestKlCurve:
     def test_rejects_unordered_checkpoints(self):
-        with pytest.raises(ValueError):
-            KlCurve(label="x", points=((10, 0.5), (10, 0.4)))
+        for samples in ((10, 10), (10, 9)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                KlCurve("x", samples, (0.5, 0.4))
+
+    def test_rejects_arrays_of_other_shapes(self):
+        for samples, values in (((1, 2), (0.5,)), (((1, 2),), ((0.5, 0.25),)), (1, 0.5)):
+            with pytest.raises(ValueError, match="1-d of one length"):
+                KlCurve("x", samples, values)
 
     def test_accessors(self):
-        c = KlCurve(label="x", points=((1, 0.5), (2, 0.25)))
-        assert c.samples == (1, 2)
-        assert c.values == (0.5, 0.25)
+        c = KlCurve("x", (1, 2), (0.5, 0.25))
+        assert c.samples.dtype == np.int64 and c.samples.tolist() == [1, 2]
+        assert c.values.dtype == np.float64 and c.values.tolist() == [0.5, 0.25]
+        assert c.points == ((1, 0.5), (2, 0.25))
+        assert all(type(n) is int and type(v) is float for n, v in c.points)
+
+    def test_arrays_are_read_only_copies(self):
+        samples, values = np.array([1, 2]), np.array([0.5, 0.25])
+        c = KlCurve("x", samples, values)
+        samples[0], values[0] = 0, 9.0
+        assert c.samples.tolist() == [1, 2] and c.values.tolist() == [0.5, 0.25]
+        with pytest.raises(ValueError):
+            c.values[0] = 1.0
 
 
 class TestDefaultCheckpoints:
@@ -71,31 +87,39 @@ class TestDefaultCheckpoints:
 
 class TestAverageCurves:
     def test_single_curve_identity(self):
-        c = KlCurve(label="x", points=((1, 0.5), (2, 0.25)))
-        assert average_curves([c]).points == c.points
+        c = KlCurve("x", (1, 2), (0.5, 0.25))
+        avg = average_curves([c])
+        assert avg.samples.tolist() == [1, 2] and avg.values.tolist() == [0.5, 0.25]
 
     def test_two_constant_curves(self):
-        a = KlCurve(label="x", points=((1, 0.2), (2, 0.2)))
-        b = KlCurve(label="x", points=((1, 0.4), (2, 0.4)))
-        assert average_curves([a, b]).values == pytest.approx((0.3, 0.3), abs=1e-15)
+        a = KlCurve("x", (1, 2), (0.2, 0.2))
+        b = KlCurve("x", (1, 2), (0.4, 0.4))
+        np.testing.assert_allclose(average_curves([a, b]).values, (0.3, 0.3), rtol=0, atol=1e-15)
 
     def test_grid_mismatch_rejected(self):
-        a = KlCurve(label="x", points=((1, 0.2),))
-        b = KlCurve(label="x", points=((2, 0.4),))
-        with pytest.raises(ValueError):
-            average_curves([a, b])
+        a = KlCurve("x", (1,), (0.2,))
+        for other in ((2,), (1, 2)):
+            b = KlCurve("x", other, (0.4,) * len(other))
+            with pytest.raises(ValueError, match="identical checkpoint grid"):
+                average_curves([a, b])
 
     def test_infinity_propagates(self):
-        a = KlCurve(label="x", points=((1, math.inf),))
-        b = KlCurve(label="x", points=((1, 0.4),))
+        a = KlCurve("x", (1,), (math.inf,))
+        b = KlCurve("x", (1,), (0.4,))
         assert average_curves([a, b]).values[0] == math.inf
+
+    def test_equals_mean_of_the_stacked_values_bitwise(self):
+        rng = np.random.default_rng(11)
+        values = rng.uniform(size=(24, 5)) * np.exp(rng.normal(size=(24, 5)) * 5)
+        subs = [[KlCurve(f"urn{u}", (1, 5, 9, 12, 40), row * u) for u in (1, 2)] for row in values]
+        avg = average_curves([KlCurve("x", (1, 5, 9, 12, 40), row, sub) for row, sub in zip(values, subs)])
+        for got, scale in ((avg, 1), (avg.per_unit[0], 1), (avg.per_unit[1], 2)):
+            want = np.array([(row * scale).tolist() for row in values]).mean(axis=0)
+            assert got.values.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_matches_streaming_mean_oracle(self):
         rng = np.random.default_rng(10)
-        curves = [
-            KlCurve(label="x", points=tuple((n, float(v)) for n, v in zip((1, 5, 9), row)))
-            for row in rng.uniform(size=(100, 3))
-        ]
+        curves = [KlCurve("x", (1, 5, 9), row) for row in rng.uniform(size=(100, 3))]
         avg = average_curves(curves)
         for i in range(3):
             mean = 0.0
@@ -109,7 +133,7 @@ class TestFourUrns:
         spec = ExperimentSpec(kind="four_urns", n_samples=0, n_runs=1, base_seed=3)
         res = run_four_urns(spec)
         run = res.runs[0]
-        assert run.raw.samples == (0,)
+        assert run.raw.samples.tolist() == [0]
         want = sum(
             kl_divergence(run.truth.urn_dist(i), Categorical.uniform(8)) for i in range(4)
         )
@@ -186,9 +210,9 @@ def curve_bits(curve):
     """A curve's samples and KL values, the values as int64 bit patterns."""
     if curve is None:
         return None
-    values = np.asarray(curve.values, dtype=np.float64).view(np.int64).tolist()
+    values = curve.values.view(np.int64).tolist()
     subs = None if curve.per_unit is None else [curve_bits(c) for c in curve.per_unit]
-    return curve.label, curve.samples, values, subs
+    return curve.label, curve.samples.tolist(), values, subs
 
 
 class TestFourUrnsMatchesStreamingOracle:
@@ -251,6 +275,23 @@ class TestFourUrnsReadoutWork:
         assert built["TallyVector"] == 0
         assert built["Categorical"] <= truth_built + 2 * n_checkpoints
 
+    @pytest.mark.parametrize("hard", (False, True))
+    def test_builds_one_curve_per_readout_and_urn(self, monkeypatch, hard):
+        # a total and n_urns sub-curves per readout of each run, and as many
+        # for each averaged readout
+        built = []
+        original = KlCurve.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(KlCurve, "__init__", counted)
+        spec = ExperimentSpec(kind="four_urns", n_samples=300, n_runs=3, base_seed=1, emit_hard_readout=hard)
+        run_four_urns(spec)
+        readouts = 3 if hard else 2
+        assert len(built) == (spec.n_runs + 1) * readouts * (1 + spec.urn_config.n_urns)
+
 
 class TestSpecFieldTypes:
     """ExperimentSpec checks field types when built directly, not only from a spec file."""
@@ -289,7 +330,7 @@ class TestSpecFieldTypes:
         for payload in (self.BASE, {**self.BASE, "checkpoints": None}):
             spec = spec_from_jsonable(payload)
             assert spec.checkpoints is None
-            assert run_four_urns(spec).avg_raw.samples == default_checkpoints(20)
+            assert tuple(run_four_urns(spec).avg_raw.samples.tolist()) == default_checkpoints(20)
 
 
 class TestBitVectors:

@@ -4,6 +4,7 @@ import pytest
 from latent_structure_lab.rng import (
     RngState,
     derive_seed,
+    derive_seeds,
     draw_index,
     next_u64,
     next_unit,
@@ -115,3 +116,32 @@ class TestNextUnits:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             next_units(RngState(1), -1)
+
+
+class TestDeriveSeeds:
+    """derive_seeds(base, indices) is derive_seed(base, i) for each i, as uint64."""
+
+    @pytest.mark.parametrize("base", (0, 1, 2**63, 2**64 - 1, 2**64 - 2, 2**64 - 1000, 2**64 + 5, -1, -(2**64)))
+    def test_equals_scalar_derive_seed(self, base):
+        # base + index at and past 2**64, and indices up to int64's largest
+        indices = [0, 1, 2, 999, 1000, 1001, 2**32, 2**63 - 1]
+        got = derive_seeds(base, indices)
+        assert got.dtype == np.uint64 and got.shape == (len(indices),)
+        assert got.tolist() == [derive_seed(base, i) for i in indices]
+
+    def test_wraps_where_base_plus_index_reaches_2_to_64(self):
+        base = 2**64 - 3
+        got = derive_seeds(base, np.arange(6))
+        assert got.tolist() == [derive_seed(base, i) for i in range(6)]
+        assert got[3] == derive_seed(0, 0) and got[5] == derive_seed(2, 0)
+
+    def test_keeps_the_shape_of_indices(self):
+        indices = np.arange(1000, 1012).reshape(3, 4)
+        got = derive_seeds(77, indices)
+        assert got.shape == (3, 4)
+        assert got.ravel().tolist() == [derive_seed(77, i) for i in range(1000, 1012)]
+
+    def test_no_indices(self):
+        for empty in ([], np.arange(0)):
+            got = derive_seeds(2**64 - 1, empty)
+            assert got.dtype == np.uint64 and got.shape == (0,)

@@ -848,6 +848,20 @@ class TestBatchSkip:
         _score_range(StubScores(self.CFG, scores), 0, 8192, 7)
         assert merged == [4096, 8192]
 
+    def test_a_nan_in_a_merged_batch_ranks_lowest(self, merged):
+        # merging a 4,096-rank batch with one NaN into a full top-7 keeps 7
+        scores = self.scores(6)
+        scores[4096:] -= 10.0
+        scores[4096 + 9] = np.nan
+        self.check(scores, 0, 8192, 7)
+        assert merged == [4096, 8192]
+        # NaN only enters when fewer than k other scores are left, behind -inf
+        few = np.full(candidate_count(self.CFG), np.nan)
+        few[[3, 11]] = (-np.inf, 1.0)
+        ranks, held = _score_range(StubScores(self.CFG, few), 0, 20, 4)
+        assert ranks.tolist() == [11, 3, 0, 1] and held[:2].tolist() == [1.0, -np.inf]
+        assert np.isnan(held[2:]).all()
+
     def test_a_nan_kth_merges(self, merged):
         # the first batch holds exactly k ranks, one of them NaN, which sorts last
         scores = self.scores(5)
