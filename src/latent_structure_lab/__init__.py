@@ -4,12 +4,7 @@ raw tallies to two-type EM, exhaustive symmetry-reduced structure search,
 and reproducible KL-vs-samples experiment curves.
 """
 
-from .estimate import (
-    EstimatorConfig,
-    bit_case_joint,
-    em_two_type_many,
-    independent_bits_estimate,
-)
+from .estimate import EstimatorConfig, em_two_type_many
 from .experiment import (
     BitVectorsResult,
     ExpensiveSearchError,
@@ -55,7 +50,6 @@ from .simulate import (
     ConfigError,
     DatasetParseError,
     UrnConfig,
-    UrnSample,
     UrnTruth,
     build_bitvector_truth,
     build_urn_truth,
@@ -78,11 +72,10 @@ __all__ = [
     "Categorical", "ConfigError", "DatasetParseError", "EstimatorConfig",
     "ExpensiveSearchError", "ExperimentSpec", "FourUrnsResult", "Grouping", "KlCurve",
     "RngState", "ScoredCandidate", "SearchConfig", "SearchSession", "SearchSettings",
-    "UrnConfig", "UrnSample", "UrnTruth", "average_curves", "bit_case_joint",
-    "build_bitvector_truth", "build_urn_truth", "candidate_count", "config_from_jsonable",
-    "dataset_digest", "default_checkpoints", "derive_seed", "draw_bitvector",
-    "draw_bitvectors", "draw_urn_samples", "em_two_type_many", "group_outcomes",
-    "in_truth_orbit", "independent_bits_estimate", "independent_bits_floor",
+    "UrnConfig", "UrnTruth", "average_curves", "build_bitvector_truth", "build_urn_truth",
+    "candidate_count", "config_from_jsonable", "dataset_digest", "default_checkpoints",
+    "derive_seed", "draw_bitvector", "draw_bitvectors", "draw_urn_samples",
+    "em_two_type_many", "group_outcomes", "in_truth_orbit", "independent_bits_floor",
     "joint_from_grouping", "joint_from_independent_bits", "kl_divergence", "next_u64",
     "next_unit", "next_units", "read_bits_dataset", "read_curves_csv", "read_model",
     "read_urn_dataset", "render_svg", "run_bitvectors", "run_experiment", "run_four_urns",

@@ -17,33 +17,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import (
-    BIT_CASES,
-    EstimatorConfig,
-    bit_case_joint,
-    em_two_type_many,
-    independent_bits_estimate,
-    mixture_rows,
+from .estimate import BIT_CASES, EstimatorConfig, em_two_type_many, fit_bit_case, mixture_rows
+from .experiment import (
+    ExpensiveSearchError,
+    config_from_jsonable,
+    ladder_search_config,
+    spec_from_jsonable,
 )
-from .experiment import ExpensiveSearchError, config_from_jsonable, spec_from_jsonable
 from .pipeline import run_experiment
-from .prob import CapacityError, dirichlet_mean_rows, kl_divergence, kl_divergence_rows
-from .report import read_curves_csv, render_svg, write_svg
-from .rng import RngState
-from .search import (
-    SearchConfig,
-    candidate_count,
-    search,
-    search_result_jsonable,
-    write_search_result,
+from .prob import (
+    CapacityError,
+    Categorical,
+    dirichlet_mean_rows,
+    kl_divergence,
+    kl_divergence_rows,
 )
+from .report import read_curves_csv, render_svg, write_json, write_svg
+from .rng import RngState
+from .search import SearchConfig, candidate_count, search, search_result_jsonable
 from .simulate import (
     BitsConfig,
     BitVectorTruth,
     ConfigError,
     DatasetParseError,
     UrnConfig,
-    UrnSample,
     UrnTruth,
     build_bitvector_truth,
     build_urn_truth,
@@ -79,14 +76,6 @@ def _load_json(path: str, what: str):
         raise UsageError(f"{what} file {path}: not valid JSON ({exc})") from exc
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_gen_model(args: argparse.Namespace) -> int:
     config_payload = _load_json(args.config, "config") if args.config else {}
     if args.kind == "urns":
@@ -107,7 +96,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     rng = RngState(args.seed)
     if isinstance(truth, UrnTruth):
         rows, _ = draw_urn_samples(truth, rng, args.n)
-        write_urn_dataset(args.out, (UrnSample(urn, color) for urn, color in rows.tolist()))
+        write_urn_dataset(args.out, rows)
     else:
         patterns, _ = draw_bitvectors(truth, rng, args.n)
         write_bits_dataset(args.out, patterns.tolist(), truth.v)
@@ -116,14 +105,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _estimate_urns(args: argparse.Namespace, truth: UrnTruth | None) -> dict:
-    samples = read_urn_dataset(args.data)
+    rows = read_urn_dataset(args.data)
     n_urns = truth.n_urns if truth else 4
     n_colors = truth.n_colors if truth else 8
-    counts = np.zeros((n_urns, n_colors))
-    for s in samples:
-        if not (0 <= s.urn_id < n_urns and 0 <= s.color < n_colors):
-            raise UsageError(f"data: sample ({s.urn_id + 1}, {s.color + 1}) outside model range")
-        counts[s.urn_id, s.color] += 1.0
+    outside = np.flatnonzero((rows[:, 0] >= n_urns) | (rows[:, 1] >= n_colors))
+    if outside.size:
+        urn, color = (rows[outside[0]] + 1).tolist()
+        raise UsageError(f"data: sample ({urn}, {color}) outside model range")
+    counts = np.bincount(rows[:, 0] * n_colors + rows[:, 1], minlength=n_urns * n_colors)
+    counts = counts.reshape(n_urns, n_colors).astype(np.float64)
     cfg = EstimatorConfig()
     if args.case == "raw":
         dists = dirichlet_mean_rows(counts, cfg.pseudocount)
@@ -134,49 +124,47 @@ def _estimate_urns(args: argparse.Namespace, truth: UrnTruth | None) -> dict:
         kls = [float(kl_divergence_rows(truth.urn_dist(i), dists[i])) for i in range(n_urns)]
         for i, kl in enumerate(kls):
             _info(f"KL urn {i + 1}: {kl:.6f}")
-        _info(f"KL total: {sum(kls):.6f}")
+        total = kls[0] + 0.0  # left to right, as the four-urns curve totals add
+        for kl in kls[1:]:
+            total += kl
+        _info(f"KL total: {total:.6f}")
     return {"case": args.case, "estimates": dists.tolist()}
 
 
 def _estimate_bits(args: argparse.Namespace, truth: BitVectorTruth | None) -> dict:
-    """Works out the grouping (--model, or a search for c1/c12) and fits the case."""
+    """Works out the grouping (--model, or a search for c1/c12) and fits the case once."""
     patterns, v = read_bits_dataset(args.data)
     if truth is not None and truth.v != v:
         raise UsageError(f"data: bit width {v} does not match the model's {truth.v}")
-    cfg = EstimatorConfig()
     payload: dict = {"case": args.case, "v": v}
     grouping = truth.hidden_grouping if truth is not None else None
     assignment = None
-    if args.case == "c0":
-        payload["bit_probs"] = [float(p) for p in independent_bits_estimate(patterns, v, cfg)]
-    elif args.case in ("c13", "c123") and truth is None:
+    if args.case in ("c13", "c123") and truth is None:
         raise UsageError(f"case {args.case} requires --model (it supplies the grouping)")
-    elif args.case in ("c1", "c12"):
+    if args.case in ("c1", "c12"):
         if args.g is None or args.s is None:
             if truth is None:
                 raise UsageError(f"case {args.case} requires --g and --s (or --model)")
             g, s = truth.hidden_grouping.g, truth.hidden_grouping.s
         else:
             g, s = args.g, args.s
-        cfg_search = SearchConfig(
-            v=v,
-            g=g,
-            s=s,
-            num_types=2 if args.case == "c12" else 1,
-            mode="case12" if args.case == "c12" else "case1",
-            workers=args.workers,
-            top_k=1,
-        )
+        cfg_search = ladder_search_config(args.case, v, g, s, "paper_plugin", args.workers)
         best = search(patterns, cfg_search)[0].candidate
         grouping, assignment = best.grouping, best.assignment
         if assignment:
             payload["assignment"] = list(assignment)
-    if args.case not in ("c0", "c0p"):
+    assignments = None if assignment is None else [assignment]
+    fit = fit_bit_case(
+        args.case, patterns, [len(patterns)], v, EstimatorConfig(), [grouping], assignments, [args.seed]
+    )
+    if args.case == "c0":
+        payload["bit_probs"] = fit.factors[0].tolist()
+    elif args.case != "c0p":
         payload["grouping"] = [[var + 1 for var in grp] for grp in grouping.slots]
-    est = bit_case_joint(args.case, patterns, v, cfg, grouping, assignment, seed=args.seed)
+    joint = Categorical(fit.joints(0, 1)[0])
     if truth is not None:
-        _info(f"KL joint: {kl_divergence(true_joint(truth), est):.6f}")
-    payload["joint"] = est.to_list()
+        _info(f"KL joint: {kl_divergence(true_joint(truth), joint):.6f}")
+    payload["joint"] = joint.to_list()
     return payload
 
 
@@ -192,7 +180,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         payload = _estimate_bits(args, truth)
     else:
         raise UsageError(f"case: unknown id {args.case!r} (valid: {URN_CASES + BIT_CASES})")
-    _emit(payload, args.out)
+    write_json(args.out, payload)
     return 0
 
 
@@ -217,14 +205,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         f"searched {candidate_count(cfg):,} candidates over {len(patterns)} samples "
         f"in {elapsed:.2f}s"
     )
-    digest = dataset_digest(patterns, v)
-    if args.out:
-        write_search_result(args.out, cfg, digest, results)
-    else:
-        sys.stdout.write(
-            json.dumps(search_result_jsonable(cfg, digest, results), sort_keys=True, indent=2)
-            + "\n"
-        )
+    write_json(args.out, search_result_jsonable(cfg, dataset_digest(patterns, v), results))
     return 0
 
 

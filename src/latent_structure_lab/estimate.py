@@ -42,8 +42,8 @@ that share one grouping) with one cumulative bincount, and the EM rows of
 all checkpoints share em_two_type_many's pool. The fit stays in
 factored form (bit probabilities or group distributions); BitCaseFit.joints
 expands a few rows at a time to 2**V joints through the row forms of
-prob.joint_from_grouping and prob.joint_from_independent_bits.
-bit_case_joint, which `lsl estimate` calls, is its one-checkpoint case.
+prob.joint_from_grouping and prob.joint_from_independent_bits. `lsl
+estimate` fits its one checkpoint through the same call.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ import numpy as np
 from .prob import (
     MAX_JOINT_BITS,
     CapacityError,
-    Categorical,
     Grouping,
     dirichlet_mean_rows,
     group_outcomes,
@@ -206,10 +205,12 @@ def _em_pool(
         obj, resp = _em_e_step(live_counts, q, cfg.pseudocount)
         done = (np.abs(obj - prev) < cfg.em_tol) | (born == step - cfg.em_max_iters)
         if done.any():
-            stopped.append((rows[done], q[done], resp[done], obj[done], step + 1 - born[done]))
-            keep = ~done
+            # Row indices and take, not boolean masks: 14-18 us against
+            # 20-28 for the masked copies at 100-200 rows (timeit, 2 cores).
+            gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            stopped.append((rows[gone], q[gone], resp[gone], obj[gone], step + 1 - born[gone]))
             rows, live_counts, q, resp, obj, born = (
-                rows[keep], live_counts[keep], q[keep], resp[keep], obj[keep], born[keep]
+                a.take(keep, axis=0) for a in (rows, live_counts, q, resp, obj, born)
             )
         prev = obj
         q = _em_m_step(live_counts, resp, cfg.pseudocount)
@@ -296,13 +297,6 @@ def mixture_rows(
     if hard:
         return np.where(resp[..., :1] >= resp[..., 1:], q_a, q_b)
     return resp[..., :1] * q_a + resp[..., 1:] * q_b
-
-
-def independent_bits_estimate(patterns: Sequence[int], v: int, cfg: EstimatorConfig) -> np.ndarray:
-    """Per-variable Bernoulli posterior means under a Beta(pc, pc) prior,
-    from the V-bit patterns (variable 0 is the most significant bit): case
-    c0's fit, at one checkpoint."""
-    return fit_bit_case("c0", patterns, [len(patterns)], v, cfg).factors[0]
 
 
 def assignment_responsibilities(assignment: Sequence[str]) -> np.ndarray:
@@ -437,23 +431,3 @@ def fit_bit_case(
         init = np.stack([assignment_responsibilities(labels) for labels in assignments])
         q, resp = em_two_type_many(counts, cfg, init_responsibilities=init)
     return fit(segments, mixture_rows(resp, q[:, 0], q[:, 1]))
-
-
-def bit_case_joint(
-    case: str,
-    patterns: Sequence[int],
-    v: int,
-    cfg: EstimatorConfig,
-    grouping: Grouping | None = None,
-    assignment: Sequence[str] | None = None,
-    seed: int = 0,
-) -> Categorical:
-    """The 2**V joint that ladder case `case` (one of BIT_CASES) fits to the V-bit patterns.
-
-    The one-checkpoint case of fit_bit_case: c0 and c0p ignore the grouping,
-    c123 seeds its restarts with `seed`, and c12 refines the hard a/b
-    `assignment`.
-    """
-    assignments = None if assignment is None else [assignment]
-    fit = fit_bit_case(case, patterns, [len(patterns)], v, cfg, [grouping], assignments, [seed])
-    return Categorical(fit.joints(0, 1)[0])

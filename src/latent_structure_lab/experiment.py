@@ -30,7 +30,7 @@ from .estimate import (
 )
 from .prob import _read_only, dirichlet_mean_rows, joint_from_independent_bits, kl_divergence, kl_divergence_rows
 from .rng import RngState, derive_seed, derive_seeds
-from .search import Candidate, SearchConfig, SearchSession, candidate_count, search
+from .search import SCORERS, Candidate, SearchConfig, SearchSession, candidate_count, search
 from .simulate import (
     BitsConfig,
     BitVectorTruth,
@@ -103,6 +103,12 @@ class SearchSettings:
     checkpoints: tuple[int, ...] | None = None  # default: every curve checkpoint
     workers: int = 1
     scorer: str = "paper_plugin"
+
+    def __post_init__(self) -> None:
+        if self.scorer not in SCORERS:
+            raise ValueError(f"scorer must be one of {SCORERS}, got {self.scorer!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -340,8 +346,7 @@ def check_search_cost(spec: ExperimentSpec, allow_expensive: bool) -> None:
     """Refuse full-scale case12 searches unless explicitly allowed."""
     if spec.kind != "bit_vectors" or "c12" not in spec.cases:
         return
-    cfg = _search_config(spec, "case12")
-    count = candidate_count(cfg)
+    count = candidate_count(_search_config(spec, "c12"))
     if count <= CASE12_EXPENSIVE_CANDIDATES or allow_expensive:
         return
     n_cp = len(spec.search.checkpoints or _curve_checkpoints(spec))
@@ -354,18 +359,18 @@ def check_search_cost(spec: ExperimentSpec, allow_expensive: bool) -> None:
     )
 
 
-def _search_config(spec: ExperimentSpec, mode: str) -> SearchConfig:
-    bc = spec.bits_config
+def ladder_search_config(case: str, v: int, g: int, s: int, scorer: str, workers: int) -> SearchConfig:
+    """The top-1 search that ladder case c1 (mode case1, one type) or c12
+    (mode case12, two types) runs to find its grouping."""
+    mode, num_types = {"c1": ("case1", 1), "c12": ("case12", 2)}[case]
     return SearchConfig(
-        v=bc.v,
-        g=bc.g,
-        s=bc.s,
-        num_types=2 if mode == "case12" else 1,
-        mode=mode,
-        scorer=spec.search.scorer,
-        workers=spec.search.workers,
-        top_k=1,
+        v=v, g=g, s=s, num_types=num_types, mode=mode, scorer=scorer, workers=workers, top_k=1
     )
+
+
+def _search_config(spec: ExperimentSpec, case: str) -> SearchConfig:
+    bc = spec.bits_config
+    return ladder_search_config(case, bc.v, bc.g, bc.s, spec.search.scorer, spec.search.workers)
 
 
 def _searched_candidates(spec: ExperimentSpec, case: str, patterns: np.ndarray, grid) -> list[Candidate]:
@@ -376,7 +381,7 @@ def _searched_candidates(spec: ExperimentSpec, case: str, patterns: np.ndarray, 
     searches share one session, so each tallies only the patterns drawn
     since the one before.
     """
-    cfg = _search_config(spec, "case1" if case == "c1" else "case12")
+    cfg = _search_config(spec, case)
     search_at = spec.search.checkpoints
     session = SearchSession()
     found: list[Candidate] = []

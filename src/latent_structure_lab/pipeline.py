@@ -11,7 +11,7 @@ from .experiment import (
     run_four_urns,
     spec_to_jsonable,
 )
-from .report import json_digest, render_svg, write_curves_csv, write_manifest, write_svg
+from .report import json_digest, render_svg, write_curves_csv, write_json, write_svg
 from .rng import derive_seed
 
 MANIFEST_FORMAT_VERSION = 1
@@ -91,6 +91,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path, allow_expensive: b
         "wall_time_s": {"run": run_seconds, "total": time.perf_counter() - started},
         "outputs": outputs,
     }
-    write_manifest(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
     outputs.append("manifest.json")
     return manifest

@@ -1,11 +1,12 @@
-"""Curve files and figures: CSV round-trip, deterministic SVG, manifest.
+"""Curve files and figures: CSV round-trip, deterministic SVG, JSON outputs.
 
 CSV columns are case,run,samples,kl,urn with an empty urn for curve totals
 and 1-based urn indices for per-urn breakdown rows. KL values are written
 with repr so a re-read reproduces the floats exactly.
 
 SVG output is plain text assembled with fixed-precision coordinates, so
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files. Every JSON output (the
+manifest, `lsl estimate` and `lsl search` results) goes through write_json.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -151,9 +153,18 @@ def render_svg(
     def sx(n: float) -> float:
         return px0 + (n - x_lo) / (x_hi - x_lo) * (px1 - px0)
 
-    def sy(v: float) -> float:
-        vv = math.log10(v) if log_y else v
+    def y_at(vv: float) -> float:
+        """Pixel row of a value on the y scale, which is log10 of KL in log mode."""
         return py0 - (vv - y_lo) / (y_hi - y_lo) * (py0 - py1)
+
+    def sy(v: float) -> float:
+        return y_at(math.log10(v) if log_y else v)
+
+    if log_y:
+        decades = range(math.floor(y_lo), math.floor(y_hi) + 1)
+        y_ticks = [(e, f"1e{e}") for e in decades if y_lo <= e <= y_hi]
+    else:
+        y_ticks = [(t, _fmt_num(t)) for t in _nice_ticks(y_lo, y_hi)]
 
     parts: list[str] = []
     parts.append(
@@ -179,24 +190,13 @@ def render_svg(
             f'<text x="{x:.2f}" y="{py0 + 16}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10">{_fmt_num(t)}</text>'
         )
-    if log_y:
-        for e in range(math.floor(y_lo), math.floor(y_hi) + 1):
-            if not y_lo <= e <= y_hi:
-                continue
-            y = py0 - (e - y_lo) / (y_hi - y_lo) * (py0 - py1)
-            parts.append(f'<line x1="{px0 - 4}" y1="{y:.2f}" x2="{px0}" y2="{y:.2f}" stroke="black"/>')
-            parts.append(
-                f'<text x="{px0 - 7}" y="{y + 3:.2f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="10">1e{e}</text>'
-            )
-    else:
-        for t in _nice_ticks(y_lo, y_hi):
-            y = sy(t)
-            parts.append(f'<line x1="{px0 - 4}" y1="{y:.2f}" x2="{px0}" y2="{y:.2f}" stroke="black"/>')
-            parts.append(
-                f'<text x="{px0 - 7}" y="{y + 3:.2f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="10">{_fmt_num(t)}</text>'
-            )
+    for position, label in y_ticks:
+        y = y_at(position)
+        parts.append(f'<line x1="{px0 - 4}" y1="{y:.2f}" x2="{px0}" y2="{y:.2f}" stroke="black"/>')
+        parts.append(
+            f'<text x="{px0 - 7}" y="{y + 3:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="10">{label}</text>'
+        )
     parts.append(
         f'<text x="{(px0 + px1) / 2:.2f}" y="{height - 8}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="11">samples seen</text>'
@@ -261,5 +261,11 @@ def json_digest(payload: dict) -> int:
     return fnv1a64(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8"))
 
 
-def write_manifest(path: str | Path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def write_json(path: str | Path | None, payload: dict) -> None:
+    """Write payload as key-sorted JSON indented by 2 plus a newline, to
+    path, or to standard output when path is None or empty (no --out)."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if not path:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")

@@ -34,7 +34,7 @@ are all pure functions of (dataset, config), so results are identical for
 any worker count.
 
 In case1 mode there is no assignment and no type is shared, so neither the
-case1 scorers nor the c1 estimate (`estimate.bit_case_joint`) read slot
+case1 scorers nor the c1 estimate (`estimate.fit_bit_case`) read slot
 order within a group or the order of the groups: a hypothesis is a set
 partition of the V variables into G groups of S. The canonical form sorts
 each group and orders groups by their smallest variable, giving
@@ -48,7 +48,6 @@ smaller radix.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -781,9 +780,3 @@ def search_result_jsonable(cfg: SearchConfig, data_digest: int, results: Sequenc
             for sc in results
         ],
     }
-
-
-def write_search_result(path, cfg: SearchConfig, data_digest: int, results: Sequence[ScoredCandidate]) -> None:
-    payload = search_result_jsonable(cfg, data_digest, results)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

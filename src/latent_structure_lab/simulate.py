@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,16 +97,6 @@ class BitVectorTruth:
 
     def group_dist(self, group_id: int) -> Categorical:
         return self.type_dists[0 if self.assignment[group_id] == "a" else 1]
-
-
-@dataclass(frozen=True)
-class UrnSample:
-    urn_id: int
-    color: int
-
-    def __post_init__(self) -> None:
-        if self.urn_id < 0 or self.color < 0:
-            raise ValueError("urn_id and color are 0-based nonnegative indices")
 
 
 def _check_assignment(assignment: Sequence[str], n: int) -> tuple[str, ...]:
@@ -261,8 +251,26 @@ def bitstring_to_pattern(bits: str) -> tuple[int, int]:
     return int(bits, 2), len(bits)
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+def _write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
+    """One compact, key-sorted JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _read_json_lines(
+    path: str | Path, what: str, parse: Callable[[dict], object]
+) -> Iterator[tuple[int, object]]:
+    """(line number, parse(record)) for each non-blank line; a line that is
+    not JSON or that parse rejects raises DatasetParseError naming path:line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                yield lineno, parse(json.loads(line))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise DatasetParseError(f"{path}:{lineno}: malformed {what} ({exc})") from exc
 
 
 def write_model(path: str | Path, truth: UrnTruth | BitVectorTruth) -> None:
@@ -277,7 +285,7 @@ def write_model(path: str | Path, truth: UrnTruth | BitVectorTruth) -> None:
     else:
         payload["kind"] = "bits"
         payload["grouping"] = [[var + 1 for var in grp] for grp in truth.hidden_grouping.slots]
-    Path(path).write_text(_dump_json(payload), encoding="utf-8")
+    _write_json_lines(path, [payload])
 
 
 def read_model(path: str | Path) -> UrnTruth | BitVectorTruth:
@@ -309,64 +317,43 @@ def read_model(path: str | Path) -> UrnTruth | BitVectorTruth:
     raise DatasetParseError(f"{path}: unknown model kind {kind!r}")
 
 
-def write_urn_dataset(path: str | Path, samples: Iterable[UrnSample]) -> None:
-    """JSON-lines of {"urn": 1-based, "color": 1-based}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(
-                json.dumps(
-                    {"urn": sample.urn_id + 1, "color": sample.color + 1},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+def write_urn_dataset(path: str | Path, rows: np.ndarray) -> None:
+    """JSON-lines of {"urn": 1-based, "color": 1-based} from (n, 2) 0-based
+    (urn, color) rows, as draw_urn_samples returns them."""
+    labels = np.asarray(rows).tolist()
+    _write_json_lines(path, ({"urn": urn + 1, "color": color + 1} for urn, color in labels))
 
 
-def read_urn_dataset(path: str | Path) -> list[UrnSample]:
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                samples.append(UrnSample(urn_id=int(rec["urn"]) - 1, color=int(rec["color"]) - 1))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DatasetParseError(f"{path}:{lineno}: malformed urn sample ({exc})") from exc
-    return samples
+def _urn_row(record: dict) -> np.ndarray:
+    row = np.array([int(record["urn"]) - 1, int(record["color"]) - 1], dtype=np.int64)
+    if (row < 0).any():
+        raise ValueError("urn and color labels start at 1")
+    return row
+
+
+def read_urn_dataset(path: str | Path) -> np.ndarray:
+    """The (n, 2) int64 array of 0-based (urn, color) rows that write_urn_dataset wrote."""
+    rows = [row for _, row in _read_json_lines(path, "urn sample", _urn_row)]
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def write_bits_dataset(path: str | Path, patterns: Iterable[int], v: int) -> None:
     """JSON-lines of {"bits": "010..."} with one char per variable, MSB first."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for pattern in patterns:
-            fh.write(
-                json.dumps({"bits": pattern_to_bitstring(pattern, v)}, separators=(",", ":"))
-                + "\n"
-            )
+    _write_json_lines(path, ({"bits": pattern_to_bitstring(pattern, v)} for pattern in patterns))
 
 
 def read_bits_dataset(path: str | Path) -> tuple[list[int], int]:
     """Returns (patterns, v); v is inferred from the common line width."""
     patterns: list[int] = []
     v = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                pattern, width = bitstring_to_pattern(rec["bits"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DatasetParseError(f"{path}:{lineno}: malformed bit vector ({exc})") from exc
-            if v == 0:
-                v = width
-            elif width != v:
-                raise DatasetParseError(f"{path}:{lineno}: bit width {width} != {v}")
-            patterns.append(pattern)
+    for lineno, (pattern, width) in _read_json_lines(
+        path, "bit vector", lambda record: bitstring_to_pattern(record["bits"])
+    ):
+        if v == 0:
+            v = width
+        elif width != v:
+            raise DatasetParseError(f"{path}:{lineno}: bit width {width} != {v}")
+        patterns.append(pattern)
     return patterns, v
 
 

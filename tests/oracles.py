@@ -26,6 +26,9 @@ one float at a time (`oracle_per_urn_curves`).
 `oracle_bitvectors_single_run` fits every ladder case at every
 checkpoint on its own, from per-group `TallyVector`s (`oracle_bit_case_joint`),
 and builds each joint by a per-pattern gather (`oracle_joint_from_grouping`).
+`fit_one_checkpoint` is a test helper like `em_fit`: the joint that the
+library's `fit_bit_case` gives one dataset at one checkpoint, as `lsl
+estimate` fits it.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from latent_structure_lab.estimate import (
     _em_pool,
     _restart_starts,
     assignment_responsibilities,
+    fit_bit_case,
 )
 from latent_structure_lab.experiment import (
     BitVectorsRun,
@@ -73,7 +77,6 @@ from latent_structure_lab.search import (
     unrank_candidate,
 )
 from latent_structure_lab.simulate import (
-    UrnSample,
     UrnTruth,
     build_bitvector_truth,
     build_urn_truth,
@@ -542,11 +545,11 @@ def score_candidate_marginal(patterns: Sequence[int], candidate: Candidate, cfg:
 # ---------------------------------------------------------------------------
 
 
-def oracle_draw_urn_sample(truth: UrnTruth, rng: RngState) -> tuple[UrnSample, RngState]:
+def oracle_draw_urn_sample(truth: UrnTruth, rng: RngState) -> tuple[tuple[int, int], RngState]:
     """Draw (urn, color) by two scalar inverse-CDF draws; exactly two RNG advances."""
     urn, rng = draw_index(truth.urn_weights.weights, rng)
     color, rng = draw_index(truth.urn_dist(urn).weights, rng)
-    return UrnSample(urn_id=urn, color=color), rng
+    return (urn, color), rng
 
 
 def oracle_four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrnsRun:
@@ -581,9 +584,9 @@ def oracle_four_urns_single_run(spec: ExperimentSpec, run_index: int) -> FourUrn
         evaluate(0)
         next_cp = None
     for t in range(1, spec.n_samples + 1):
-        sample, rng = oracle_draw_urn_sample(truth, rng)
-        counts[sample.urn_id, sample.color] += 1.0
-        if sample.urn_id == 0:
+        (urn, color), rng = oracle_draw_urn_sample(truth, rng)
+        counts[urn, color] += 1.0
+        if urn == 0:
             urn1_samples.append(t)
         while next_cp is not None and next_cp[1] == t:
             evaluate(next_cp[0])
@@ -654,6 +657,23 @@ def oracle_bit_case_joint(
     return Categorical(oracle_joint_from_grouping(grouping, [d.weights for d in dists]))
 
 
+def fit_one_checkpoint(
+    case: str,
+    patterns: Sequence[int],
+    v: int,
+    cfg: EstimatorConfig,
+    grouping: Grouping | None = None,
+    assignment: Sequence[str] | None = None,
+    seed: int = 0,
+) -> Categorical:
+    """The 2**V joint of ladder case `case` fitted by fit_bit_case to all the
+    patterns at once: c0 and c0p ignore the grouping, c123 seeds its
+    restarts with `seed`, and c12 refines the hard a/b `assignment`."""
+    assignments = None if assignment is None else [assignment]
+    fit = fit_bit_case(case, patterns, [len(patterns)], v, cfg, [grouping], assignments, [seed])
+    return Categorical(fit.joints(0, 1)[0])
+
+
 def oracle_bitvectors_single_run(spec: ExperimentSpec, run_index: int) -> BitVectorsRun:
     """The checkpoint-at-a-time bit-vector run: scalar draws, and at each
     checkpoint each case searched (c1, c12, where due) and fitted on its own
@@ -675,8 +695,7 @@ def oracle_bitvectors_single_run(spec: ExperimentSpec, run_index: int) -> BitVec
             grouping, assignment = truth.hidden_grouping, None
             if case in ("c1", "c12"):
                 if search_at is None or n in search_at or case not in best:
-                    cfg = _search_config(spec, "case1" if case == "c1" else "case12")
-                    best[case] = search(patterns[:n], cfg)[0].candidate
+                    best[case] = search(patterns[:n], _search_config(spec, case))[0].candidate
                 grouping, assignment = best[case].grouping, best[case].assignment
             est = oracle_bit_case_joint(
                 case, patterns[:n], truth.v, spec.estimator, grouping, assignment, seed

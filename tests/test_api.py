@@ -7,11 +7,10 @@ EXPORTS = [
     "Categorical", "ConfigError", "DatasetParseError", "EstimatorConfig",
     "ExpensiveSearchError", "ExperimentSpec", "FourUrnsResult", "Grouping", "KlCurve",
     "RngState", "ScoredCandidate", "SearchConfig", "SearchSession", "SearchSettings",
-    "UrnConfig", "UrnSample", "UrnTruth", "average_curves", "bit_case_joint",
-    "build_bitvector_truth", "build_urn_truth", "candidate_count", "config_from_jsonable",
-    "dataset_digest", "default_checkpoints", "derive_seed", "draw_bitvector",
-    "draw_bitvectors", "draw_urn_samples", "em_two_type_many", "group_outcomes",
-    "in_truth_orbit", "independent_bits_estimate", "independent_bits_floor",
+    "UrnConfig", "UrnTruth", "average_curves", "build_bitvector_truth", "build_urn_truth",
+    "candidate_count", "config_from_jsonable", "dataset_digest", "default_checkpoints",
+    "derive_seed", "draw_bitvector", "draw_bitvectors", "draw_urn_samples",
+    "em_two_type_many", "group_outcomes", "in_truth_orbit", "independent_bits_floor",
     "joint_from_grouping", "joint_from_independent_bits", "kl_divergence", "next_u64",
     "next_unit", "next_units", "read_bits_dataset", "read_curves_csv", "read_model",
     "read_urn_dataset", "render_svg", "run_bitvectors", "run_experiment", "run_four_urns",

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from latent_structure_lab import cli
 from latent_structure_lab.cli import main
 
 @pytest.fixture()
@@ -136,6 +137,23 @@ class TestEstimate:
         payload = json.loads(captured.out)
         assert len(payload["estimates"]) == 4
         assert "KL total:" in captured.err
+
+    @pytest.mark.parametrize("case", ("c0", "c0p", "c13", "c123", "c1", "c12"))
+    def test_bit_case_is_fitted_once(self, bits_setup, monkeypatch, capsys, case):
+        calls = []
+        fit = cli.fit_bit_case
+        monkeypatch.setattr(cli, "fit_bit_case", lambda *args: calls.append(args[0]) or fit(*args))
+        model, data = bits_setup
+        assert main(["estimate", "--case", case, "--data", str(data), "--model", str(model)]) == 0
+        assert calls == [case]
+        capsys.readouterr()
+
+    def test_first_urn_row_outside_the_model_is_named(self, tmp_path, capsys):
+        model, data = tmp_path / "m.json", tmp_path / "d.jsonl"
+        assert main(["gen-model", "--kind", "urns", "--seed", "4", "--out", str(model)]) == 0
+        data.write_text('{"urn":4,"color":8}\n{"urn":2,"color":9}\n{"urn":5,"color":1}\n')
+        assert main(["estimate", "--case", "raw", "--data", str(data), "--model", str(model)]) == 2
+        assert "data: sample (2, 9) outside model range" in capsys.readouterr().err
 
     # sha256 of the `--out` JSON of every case id with --model and --seed 7:
     # urn cases on 200 samples of urns model seed 4 (sample seed 5), bit

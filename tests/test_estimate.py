@@ -9,10 +9,8 @@ from latent_structure_lab import estimate as estimate_module
 from latent_structure_lab.estimate import (
     EstimatorConfig,
     assignment_responsibilities,
-    bit_case_joint,
     em_two_type_many,
     fit_bit_case,
-    independent_bits_estimate,
     mixture_rows,
 )
 from latent_structure_lab.prob import (
@@ -32,6 +30,7 @@ import oracles
 from oracles import (
     em_fit,
     em_objective_path,
+    fit_one_checkpoint,
     log_likelihood,
     oracle_bit_case_joint,
     oracle_dirichlet_mean,
@@ -577,18 +576,23 @@ class TestPerUnitMixture:
         assert got.tolist() == [q_a.tolist(), q_b.tolist()]
 
 
+def bit_probs(patterns, v):
+    """Case c0's per-variable Bernoulli posterior means, fitted at one checkpoint."""
+    return fit_bit_case("c0", patterns, [len(patterns)], v, CFG).factors[0]
+
+
 class TestIndependentBits:
     def test_prior_mean(self):
-        assert independent_bits_estimate([], 1, CFG).tolist() == [0.5]
+        assert bit_probs([], 1).tolist() == [0.5]
 
     def test_formula(self):
         # Variable 0 is the most significant bit: 3 of 4 patterns set it, 1 sets variable 1.
-        assert independent_bits_estimate([0b10, 0b11, 0b10, 0b00], 2, CFG).tolist() == [4 / 6, 2 / 6]
-        assert independent_bits_estimate([1] * 999 + [0], 1, CFG)[0] == pytest.approx(1000 / 1002)
+        assert bit_probs([0b10, 0b11, 0b10, 0b00], 2).tolist() == [4 / 6, 2 / 6]
+        assert bit_probs([1] * 999 + [0], 1)[0] == pytest.approx(1000 / 1002)
 
 
 class TestBitCaseJoint:
-    """bit_case_joint fits each ladder case as its one-checkpoint oracle does, bit for bit."""
+    """fit_bit_case at one checkpoint fits each ladder case as its oracle does, bit for bit."""
 
     GROUPING = Grouping(((0, 3, 4), (5, 1, 2)))
 
@@ -598,11 +602,11 @@ class TestBitCaseJoint:
 
     def test_cases_match_their_estimators(self):
         patterns, g = self._patterns(), self.GROUPING
-        c0 = joint_from_independent_bits(independent_bits_estimate(patterns, 6, CFG))
-        assert bits(bit_case_joint("c0", patterns, 6, CFG).weights).tolist() == bits(c0.weights).tolist()
+        c0 = joint_from_independent_bits(bit_probs(patterns, 6))
+        assert bits(fit_one_checkpoint("c0", patterns, 6, CFG).weights).tolist() == bits(c0.weights).tolist()
         for case in ("c0", "c0p", "c13", "c1", "c123", "c12"):
             assignment = ("b", "a") if case == "c12" else None
-            got = bit_case_joint(case, patterns, 6, CFG, g, assignment, seed=5)
+            got = fit_one_checkpoint(case, patterns, 6, CFG, g, assignment, seed=5)
             want = oracle_bit_case_joint(case, patterns, 6, CFG, g, assignment, seed=5)
             assert bits(got.weights).tolist() == bits(want.weights).tolist(), case
 
@@ -618,7 +622,7 @@ class TestBitCaseJoint:
     )
     def test_rejects_missing_or_extra_structure(self, case, grouping, assignment):
         with pytest.raises(ValueError, match=case):
-            bit_case_joint(case, [0, 63], 6, CFG, grouping, assignment)
+            fit_one_checkpoint(case, [0, 63], 6, CFG, grouping, assignment)
 
 
 class TestBitPatternValidation:
@@ -628,19 +632,19 @@ class TestBitPatternValidation:
 
     def test_c0p_rejects_pattern_too_wide(self):
         with pytest.raises(ValueError, match=r"bit pattern 7 outside \[0, 2\*\*2\)"):
-            bit_case_joint("c0p", [0, 7, 3], 2, CFG)
+            fit_one_checkpoint("c0p", [0, 7, 3], 2, CFG)
 
     def test_c0_rejects_high_bits(self):
         with pytest.raises(ValueError, match="bit pattern 64 outside"):
-            bit_case_joint("c0", [1, 64], 6, CFG)
+            fit_one_checkpoint("c0", [1, 64], 6, CFG)
 
     def test_c13_rejects_negative_pattern(self):
         with pytest.raises(ValueError, match="bit pattern -1 outside"):
-            bit_case_joint("c13", [3, -1], 6, CFG, self.GROUPING)
+            fit_one_checkpoint("c13", [3, -1], 6, CFG, self.GROUPING)
 
     def test_rejects_grouping_of_other_width(self):
         with pytest.raises(ValueError, match="grouping covers 6 variables, not v=9"):
-            bit_case_joint("c123", [0, 511], 9, CFG, self.GROUPING)
+            fit_one_checkpoint("c123", [0, 511], 9, CFG, self.GROUPING)
 
     def test_batched_form_checks_every_pattern_and_grouping(self):
         groupings = [self.GROUPING, Grouping.identity(9, 3)]
@@ -673,7 +677,7 @@ class TestFitBitCase:
         rows = np.concatenate([fit.joints(lo, hi) for lo, hi in chunks])
         for c, n in enumerate(checkpoints):
             assignment = assignments[c] if case == "c12" else None
-            want = bit_case_joint(case, patterns[:n], 6, CFG, groupings[c], assignment, seeds[c])
+            want = fit_one_checkpoint(case, patterns[:n], 6, CFG, groupings[c], assignment, seeds[c])
             np.testing.assert_array_equal(bits(rows[c]), bits(want.weights))
 
     def test_no_checkpoints(self):
@@ -692,7 +696,7 @@ class TestJointDirichlet:
     def test_delegates_to_dirichlet_mean(self):
         patterns = [0, 0, 0, 1]
         np.testing.assert_array_equal(
-            bit_case_joint("c0p", patterns, 2, CFG).weights,
+            fit_one_checkpoint("c0p", patterns, 2, CFG).weights,
             dirichlet_mean_rows(np.array([3.0, 1.0, 0.0, 0.0]), 1.0),
         )
 
@@ -754,11 +758,11 @@ class TestConsistency:
             for idx, n in enumerate((100, 1000)):
                 head = patterns[:n]
                 for case in ("c0p", "c13", "c123"):
-                    est = bit_case_joint(case, head, 6, CFG, truth.hidden_grouping, seed=seed)
+                    est = fit_one_checkpoint(case, head, 6, CFG, truth.hidden_grouping, seed=seed)
                     deltas[case][idx] += kl_divergence(joint, est)
                 for case, scfg in (("c1", cfg_c1), ("c12", cfg_c12)):
                     best = search(head, scfg)[0].candidate
-                    est = bit_case_joint(case, head, 6, CFG, best.grouping, best.assignment, seed=seed)
+                    est = fit_one_checkpoint(case, head, 6, CFG, best.grouping, best.assignment, seed=seed)
                     deltas[case][idx] += kl_divergence(joint, est)
         for case, (at_100, at_1000) in deltas.items():
             assert at_1000 < at_100, case

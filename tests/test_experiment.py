@@ -616,6 +616,27 @@ class TestSpecJson:
         with pytest.raises(ValueError, match="base_seed"):
             spec_from_jsonable({"kind": "four_urns", "n_samples": 1, "n_runs": 1})
 
+    @pytest.mark.parametrize(
+        "search, named",
+        [
+            ({"scorer": "bogus"}, "scorer must be one of ('paper_plugin', 'dirichlet_marginal'), got 'bogus'"),
+            ({"scorer": "marginal"}, "scorer must be one of"),
+            ({"workers": 0}, "workers must be >= 1, got 0"),
+            ({"workers": -3}, "workers must be >= 1, got -3"),
+            ({"scorer": "bogus", "workers": 0}, "scorer must be one of"),
+        ],
+        ids=["unknown_scorer", "cli_scorer_name", "zero_workers", "negative_workers", "both"],
+    )
+    def test_bad_search_settings_refused_when_built(self, search, named):
+        payload = {
+            "kind": "bit_vectors", "n_samples": 20, "n_runs": 1, "base_seed": 0,
+            "cases": ["c0", "c1"], "truth": {"v": 6, "g": 2, "s": 3}, "search": search,
+        }
+        with pytest.raises(ValueError, match=re.escape(f"spec field 'search': {named}")):
+            spec_from_jsonable(payload)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            SearchSettings(**search)
+
 
 def _workload_spec(workload: str, base_seed: int) -> dict:
     """The experiment workload specs of benchmarks/workloads.py, inlined."""

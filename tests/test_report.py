@@ -8,7 +8,7 @@ from latent_structure_lab.report import (
     read_curves_csv,
     render_svg,
     write_curves_csv,
-    write_manifest,
+    write_json,
 )
 
 
@@ -95,6 +95,6 @@ def test_json_digest_stable():
 
 def test_manifest_written_sorted(tmp_path):
     path = tmp_path / "manifest.json"
-    write_manifest(path, {"z": 1, "a": 2})
+    write_json(path, {"z": 1, "a": 2})
     text = path.read_text()
     assert text.index('"a"') < text.index('"z"')

@@ -10,9 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latent_structure_lab.estimate import EstimatorConfig, bit_case_joint
+from latent_structure_lab.estimate import EstimatorConfig
 from latent_structure_lab.experiment import ExperimentSpec, SearchSettings, _search_config, _searched_candidates
 from latent_structure_lab.prob import CapacityError, Grouping, group_outcomes, kl_divergence
+from latent_structure_lab.report import write_json
 from latent_structure_lab.rng import RngState, derive_seed
 from latent_structure_lab.search import (
     MODES,
@@ -29,7 +30,6 @@ from latent_structure_lab.search import (
     search,
     search_result_jsonable,
     unrank_candidate,
-    write_search_result,
 )
 from latent_structure_lab.simulate import (
     BitsConfig,
@@ -43,6 +43,7 @@ from oracles import (
     candidate_rank,
     canonicalize_candidate,
     enumerate_candidates,
+    fit_one_checkpoint,
     oracle_tuple_tally,
     oracle_unrank,
     oracle_walk,
@@ -80,7 +81,7 @@ def candidate_joint(patterns, candidate, seed=0):
     whose assignment starts the two-type EM) fitted to the patterns."""
     grouping, assignment = candidate.grouping, candidate.assignment
     case = "c1" if assignment is None else "c12"
-    return bit_case_joint(case, patterns, grouping.v, EstimatorConfig(), grouping, assignment, seed)
+    return fit_one_checkpoint(case, patterns, grouping.v, EstimatorConfig(), grouping, assignment, seed)
 
 
 def random_patterns(rng, v, n):
@@ -983,8 +984,7 @@ class TestSearchSession:
         assert [n for n, _ in searched] == [3, 50, 100]
         first, at_50, at_100 = (candidate for _, candidate in searched)
         assert found == [first, first, at_50, at_50, at_100]
-        cfg = _search_config(spec, "case1" if case == "c1" else "case12")
-        assert first == search(patterns[:3], cfg)[0].candidate
+        assert first == search(patterns[:3], _search_config(spec, case))[0].candidate
 
     @pytest.mark.parametrize("scorer", SCORERS)
     def test_dataset_that_does_not_extend_is_tallied_afresh(self, scorer, tallied):
@@ -1137,7 +1137,7 @@ class TestGoldenDigests:
         patterns = draw_patterns(truth, 71 + v, 300)
         cfg = SearchConfig(v=v, g=v // 3, s=3, num_types=1, mode="case1", scorer=scorer, top_k=10)
         path = tmp_path / "topk.json"
-        write_search_result(path, cfg, dataset_digest(patterns, v), search(patterns, cfg))
+        write_json(path, search_result_jsonable(cfg, dataset_digest(patterns, v), search(patterns, cfg)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_CASE1[(v, scorer)]
 
     @pytest.mark.parametrize("v, scorer", sorted(GOLDEN))
@@ -1147,7 +1147,7 @@ class TestGoldenDigests:
         patterns = draw_patterns(truth, 61 + v, 300)
         cfg = SearchConfig(v=v, g=g, s=s, mode="case12", scorer=scorer, top_k=10)
         path = tmp_path / "topk.json"
-        write_search_result(path, cfg, dataset_digest(patterns, v), search(patterns, cfg))
+        write_json(path, search_result_jsonable(cfg, dataset_digest(patterns, v), search(patterns, cfg)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[(v, scorer)]
 
 

@@ -16,7 +16,6 @@ from latent_structure_lab.simulate import (
     ConfigError,
     DatasetParseError,
     UrnConfig,
-    UrnSample,
     UrnTruth,
     build_bitvector_truth,
     build_urn_truth,
@@ -242,7 +241,7 @@ def scalar_urn_rows(truth, rng, n):
     rows = []
     for _ in range(n):
         sample, rng = oracle_draw_urn_sample(truth, rng)
-        rows.append([sample.urn_id, sample.color])
+        rows.append(list(sample))
     return rows, rng
 
 
@@ -347,17 +346,44 @@ class TestTrueJoint:
 class TestDatasetFiles:
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        write_urn_dataset(path, [])
+        write_urn_dataset(path, np.empty((0, 2), dtype=np.int64))
         assert path.read_text() == ""
-        assert read_urn_dataset(path) == []
+        got = read_urn_dataset(path)
+        assert got.shape == (0, 2) and got.dtype == np.int64
 
     def test_urn_round_trip_and_one_based_labels(self, tmp_path):
         path = tmp_path / "urns.jsonl"
-        samples = [UrnSample(0, 4), UrnSample(1, 2), UrnSample(0, 6)]
-        write_urn_dataset(path, samples)
-        first = json.loads(path.read_text().splitlines()[0])
-        assert first == {"color": 5, "urn": 1}
-        assert read_urn_dataset(path) == samples
+        rows = np.array([[0, 4], [1, 2], [0, 6]])
+        write_urn_dataset(path, rows)
+        assert path.read_text().splitlines()[0] == '{"color":5,"urn":1}'
+        got = read_urn_dataset(path)
+        assert got.dtype == np.int64 and got.tolist() == rows.tolist()
+
+    def test_drawn_urn_rows_round_trip(self, tmp_path):
+        truth = build_urn_truth(UrnConfig(), 8)
+        rows, _ = draw_urn_samples(truth, RngState(3), 500)
+        path = tmp_path / "urns.jsonl"
+        write_urn_dataset(path, rows)
+        np.testing.assert_array_equal(read_urn_dataset(path), rows)
+
+    def test_one_based_file_reads_as_zero_based_rows(self, tmp_path):
+        path = tmp_path / "urns.jsonl"
+        path.write_text('{"urn":1,"color":8}\n\n{"color":1,"urn":4}\n')
+        assert read_urn_dataset(path).tolist() == [[0, 7], [3, 0]]
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"urn":0,"color":3}', '{"urn":2,"color":0}', '{"urn":-1,"color":3}', '{"urn":2}',
+         '{"urn":"x","color":1}', '[1, 2]', "not json", '{"urn":1e400,"color":1}',
+         '{"urn":99999999999999999999,"color":1}'],
+        ids=["zero_urn", "zero_color", "negative_urn", "no_color", "string_urn", "list", "not_json",
+             "infinite_urn", "past_int64"],
+    )
+    def test_malformed_urn_line_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "urns.jsonl"
+        path.write_text('{"urn":1,"color":1}\n\n' + line + "\n")
+        with pytest.raises(DatasetParseError, match=f"{path.name}:3: malformed urn sample"):
+            read_urn_dataset(path)
 
     def test_bits_round_trip(self, tmp_path):
         truth = build_bitvector_truth(BitsConfig(), 15)
@@ -386,6 +412,15 @@ class TestDatasetFiles:
         path = tmp_path / "widths.jsonl"
         path.write_text('{"bits":"0101"}\n{"bits":"010"}\n')
         with pytest.raises(DatasetParseError, match=":2:"):
+            read_bits_dataset(path)
+
+    def test_blank_lines_count_toward_line_numbers(self, tmp_path):
+        path = tmp_path / "gaps.jsonl"
+        path.write_text('{"bits":"0101"}\n\n  \n{"bits":"0110"}\n\n{"bits":"010"}\n')
+        with pytest.raises(DatasetParseError, match=r":6: bit width 3 != 4"):
+            read_bits_dataset(path)
+        path.write_text('{"bits":"0101"}\n\n{"bits":"01x1"}\n')
+        with pytest.raises(DatasetParseError, match=":3: malformed bit vector"):
             read_bits_dataset(path)
 
 
