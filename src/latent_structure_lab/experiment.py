@@ -44,11 +44,14 @@ from .simulate import (
 )
 
 # case12 candidates scored per worker CPU-second, which check_search_cost
-# prices a refused search at. The traced V=12 marginal-scorer sweep of
-# benchmarks/run.py (workload search_case12_v12, seed 1, 2 cores, Python
-# 3.11, numpy 2.4) scored its 106,444,800 candidates in 7.2-7.7 worker
-# CPU-seconds over three runs (median 7.34), 14.5M per worker CPU-second,
-# with the cell-fold scorer.
+# prices a refused search at as though it scored every candidate. The traced
+# V=12 marginal-scorer sweep of benchmarks/run.py (workload
+# search_case12_v12, seed 1, 2 cores, Python 3.11, numpy 2.4) scored its
+# 106,444,800 candidates in 7.2-7.7 worker CPU-seconds over three runs
+# (median 7.34), 14.5M per worker CPU-second, with the cell-fold scorer and
+# no pruning. That exhaustive rate is still the `paper_plugin` rate and the
+# worst case; the pruned `dirichlet_marginal` search often scores 100x
+# fewer candidates, so the price is a ceiling.
 CASE12_SCORINGS_PER_WORKER_S = 14e6
 # check_search_cost refuses a case12 search space larger than this.
 CASE12_EXPENSIVE_CANDIDATES = 1_000_000
@@ -343,7 +346,12 @@ def independent_bits_floor(truth: BitVectorTruth) -> float:
 
 
 def check_search_cost(spec: ExperimentSpec, allow_expensive: bool) -> None:
-    """Refuse full-scale case12 searches unless explicitly allowed."""
+    """Refuse full-scale case12 searches unless explicitly allowed.
+
+    The refusal prices every candidate at every checkpoint, so its
+    scorings and worker-hours are upper bounds: a pruned search scores
+    fewer.
+    """
     if spec.kind != "bit_vectors" or "c12" not in spec.cases:
         return
     count = candidate_count(_search_config(spec, "c12"))
@@ -353,8 +361,8 @@ def check_search_cost(spec: ExperimentSpec, allow_expensive: bool) -> None:
     total = count * n_cp * spec.n_runs
     hours = total / CASE12_SCORINGS_PER_WORKER_S / 3600
     raise ExpensiveSearchError(
-        f"case c12 would score {count:,} candidates at {n_cp} checkpoints over "
-        f"{spec.n_runs} run(s) (~{total:,} scorings, roughly {hours:.1f} "
+        f"case c12 would search {count:,} candidates at {n_cp} checkpoints over "
+        f"{spec.n_runs} run(s) (at most ~{total:,} scorings, at most {hours:.1f} "
         f"worker-hours); pass allow_expensive to run it anyway"
     )
 

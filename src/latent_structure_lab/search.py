@@ -1,4 +1,4 @@
-"""Exhaustive, symmetry-reduced search over grouping/assignment hypotheses.
+"""Exact, symmetry-reduced search over grouping/assignment hypotheses.
 
 The raw hypothesis space pairs every ordered grouping of the V variables
 (into G ordered S-slot groups) with every group-to-type assignment. The
@@ -43,6 +43,27 @@ pool's smallest unused variable plus an (S-1)-subset of the rest, which are
 exactly the first C(n-1, S-1) lexicographic S-subsets of the n-variable
 pool, so case1 ranks walk the same combination tables as case12 with a
 smaller radix.
+
+The `dirichlet_marginal` case12 search is a branch and bound. Per S-tuple
+t at n samples, maxLL(t) = sum over cells of c*log(c/n) (0 where c = 0)
+and gap(t) = ML(t) - maxLL(t) <= 0, where ML(t) is t's one-group
+Dirichlet-multinomial term. Neither reads slot order. A candidate with
+groups g_1..g_G scores at most sum_j maxLL(g_j) + max_j gap(g_j): by the
+chain rule a type's pooled term is ML of one of its groups plus one
+predictive term per other group, each at most that group's maxLL, and two
+types' gaps sum to at most the larger. A walk row that fixes j groups is
+bounded by their maxLL plus the largest sum of maxLL over S-partitions of
+the unused variables (`_Bound.rest`); a row that fixes G-1 groups fixes the
+partition and takes the full bound. A row is dropped, with every candidate
+under it, once its bound is strictly below the threshold of the larger of
+a floor and the running k-th score, that value less 1e-9 * max(1, |value|).
+Against the k-th alone, a pruned candidate scores strictly below k scored
+ones, so the top-k ranks and scores are those of scoring every candidate,
+for any worker count. `search` first sweeps with the bound of one partition
+as the floor; that sweep is exact when its k-th score reaches the floor's
+threshold, and otherwise a second sweep takes its k-th score as the floor.
+case1 and `paper_plugin` walk the same way with no bound, so they score
+every candidate.
 """
 
 from __future__ import annotations
@@ -52,7 +73,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -166,19 +187,42 @@ def _case1_radices(v: int, g: int, s: int) -> list[int]:
     return [math.comb(v - j * s - 1, s - 1) for j in range(g)]
 
 
+def _span(cfg: SearchConfig) -> int:
+    """Ranks per assignment pattern; case1 has no assignment, so one span covers its space."""
+    return _per_pattern(cfg) if cfg.mode == "case12" else candidate_count(cfg)
+
+
+def _levels(cfg: SearchConfig, tables: "_EnumTables", pattern_idx: int):
+    """(labels, level tables, radices) of one assignment pattern's walk.
+
+    case12 levels are combinations at the pattern's pins and arrangements
+    elsewhere; case1 walks the combination tables (wider than its radices)
+    and has no labels.
+    """
+    if cfg.mode == "case1":
+        return None, tables.comb, _case1_radices(cfg.v, cfg.g, cfg.s)
+    labels = _pattern_from_index(pattern_idx, cfg.g, cfg.num_types)
+    pins = _pin_positions(labels, cfg.num_types)
+    levels = [tables.comb[j] if j in pins else tables.arr[j] for j in range(cfg.g)]
+    radices = [tables.comb_radix[j] if j in pins else tables.arr_radix[j] for j in range(cfg.g)]
+    return labels, levels, radices
+
+
 def unrank_candidate(cfg: SearchConfig, rank: int) -> Candidate:
-    """The rank-th canonical candidate in the fixed total order: a one-row table walk."""
+    """The rank-th canonical candidate in the fixed total order: a one-row table walk.
+
+    The walk fixes the first G-1 groups; the last radix (r) counts the last
+    group's slot orders, so rank's prefix is sub // r and its leaf sub % r.
+    """
     total = candidate_count(cfg)
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} outside [0, {total})")
     tables = _enum_tables(cfg.v, cfg.g, cfg.s, arrangements=cfg.mode == "case12")
-    if cfg.mode == "case1":
-        ids = tables.case1_ids(rank, rank + 1)[0]
-        return Candidate(Grouping(tuple(tables.tuples[i] for i in ids)), None)
-    pattern_idx, sub = divmod(rank, _per_pattern(cfg))
-    labels = _pattern_from_index(pattern_idx, cfg.g, cfg.num_types)
-    prefix, leaves = tables.case12_ids(_pin_positions(labels, cfg.num_types), sub, sub + 1)
-    ids = [*prefix[0], leaves[0, sub % leaves.shape[1]]]
+    pattern_idx, sub = divmod(rank, _span(cfg))
+    labels, levels, radices = _levels(cfg, tables, pattern_idx)
+    r = radices[-1]
+    ((prefix, state, _),) = tables._walk(levels, radices[:-1], sub // r, sub // r + 1)
+    ids = [*prefix[0], levels[-1][0][state[0], sub % r]]
     return Candidate(Grouping(tuple(tables.tuples[i] for i in ids)), labels)
 
 
@@ -268,6 +312,25 @@ def _cell_sum(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.add(quads[..., 0], quads[..., 1], out=region(base + 6, 1)[..., 0])
 
 
+class _Bound(NamedTuple):
+    """Per-n bound terms of a `dirichlet_marginal` case12 context (module docstring).
+
+    - maxll, gap: per S-tuple, maxLL(t) and ML(t) - maxLL(t).
+    - rest[j]: per level-j state, the largest sum of maxLL over the
+      S-partitions of its unused variables, a max over the `comb` tables'
+      digits; rest[G-1] is the last group's maxLL.
+    - last_gap: per level G-1 state, the last group's gap.
+    - floor: the bound of one partition of the largest sum of maxLL, picked
+      by a greedy dive down `rest`.
+    """
+
+    maxll: np.ndarray
+    gap: np.ndarray
+    rest: list[np.ndarray]
+    last_gap: np.ndarray
+    floor: float
+
+
 class _ScoreContext:
     """Per-dataset tables: one tally row per S-tuple of variables.
 
@@ -291,7 +354,7 @@ class _ScoreContext:
     `update` sums each tuple's own term into `tuple_term` by `.sum` (case12
     only, the one mode that reads it). Terms accumulate as a's term, a's
     constant, b's term, b's constant, so the scores equal a per-candidate
-    evaluation bit for bit.
+    evaluation bit for bit, whichever prefixes share a batch.
 
     The pooled tallies (int64) and their terms (float64) are laid out leaf
     major, (r, prefixes, 2**S), so that a prefix sum is added to r
@@ -308,7 +371,8 @@ class _ScoreContext:
     the one held (the same patterns first), only the new patterns' tallies
     are added; otherwise the tallies are rebuilt. Either way the lgamma
     table is extended and the per-n terms are rebuilt, so the scores equal
-    those of a context built afresh bit for bit.
+    those of a context built afresh bit for bit. A `dirichlet_marginal`
+    case12 context also holds the per-n bound terms, `bound`.
     """
 
     def __init__(self, patterns: Sequence[int], cfg: SearchConfig):
@@ -319,6 +383,7 @@ class _ScoreContext:
         self.lgam = np.array([math.inf])
         self._pooled = np.empty(0, dtype=np.int64)
         self._terms = np.empty(0)
+        self.scored = 0  # ranks that `batches` has yielded
         self.update(patterns)
 
     def update(self, patterns: Sequence[int]) -> None:
@@ -342,8 +407,30 @@ class _ScoreContext:
             self.lgam = lgam = _lgamma_table(g * n + cell + 1, self.lgam)
             self.pool_term = lgam[1 : g * n + 2]
             self.tuple_score = lgam[cell] - lgam[cell + n] + lgam[self.tally + 1].sum(axis=1)
+        self.bound = None
         if cfg.mode == "case12":
             self.tuple_term = self.pool_term[self.tally].sum(axis=1)
+            if cfg.scorer == "dirichlet_marginal" and n > 0:
+                self.bound = self._bound()
+
+    def _bound(self) -> _Bound:
+        """The bound terms of the tallies held (`_Bound`)."""
+        g, comb = self.cfg.g, self.tables.comb
+        counts = self.tally
+        maxll = (counts * np.log(np.maximum(counts, 1) / self.n)).sum(axis=1)  # empty cells add 0
+        gap = self.tuple_score - maxll
+        last = comb[g - 1][0][:, 0]
+        rest = [maxll[last]]
+        for j in range(g - 2, -1, -1):
+            tab_id, tab_next = comb[j]
+            rest.insert(0, (maxll[tab_id] + rest[0][tab_next]).max(axis=1))
+        state, groups = 0, []
+        for j, (tab_id, tab_next) in enumerate(comb[:-1]):
+            digit = int(np.argmax(maxll[tab_id[state]] + rest[j + 1][tab_next[state]]))
+            groups.append(tab_id[state, digit])
+            state = tab_next[state, digit]
+        groups.append(last[state])
+        return _Bound(maxll, gap, rest, gap[last], float(rest[0][0] + gap[groups].max()))
 
     def _prefix_rows(self, prefix: np.ndarray, cols: list[int], out: np.ndarray, spare: np.ndarray):
         """The sum of the tally rows of prefix[:, j] over j in `cols`, into `out`.
@@ -358,20 +445,15 @@ class _ScoreContext:
                 out += self.tally.take(prefix[:, j], axis=0, out=rows, mode="clip")
         return out
 
-    def score(self, lo: int, hi: int) -> np.ndarray:
-        """Scores of ranks [lo, hi); a case12 range lies within one assignment pattern.
+    def _leaf_scores(self, labels: tuple[str, ...], prefix: np.ndarray, leaves: np.ndarray) -> np.ndarray:
+        """case12 scores (prefixes, r) of the leaves of explicit prefixes.
 
-        Every take has mode="clip", because mode="raise" copies through a
-        temporary; tuple ids and pooled counts (<= G*n) are always in range.
+        `prefix` (prefixes, G-1) holds the first groups' tuple ids and
+        `leaves` (prefixes, r) the last group's. Every take has mode="clip",
+        because mode="raise" copies through a temporary; tuple ids and
+        pooled counts (<= G*n) are always in range.
         """
-        cfg = self.cfg
-        if cfg.mode == "case1":
-            return self.tuple_score[self.tables.case1_ids(lo, hi)].sum(axis=1)
-        cell = 1 << cfg.s
-        pattern_idx, sub_lo = divmod(lo, _per_pattern(cfg))
-        labels = _pattern_from_index(pattern_idx, cfg.g, cfg.num_types)
-        pins = _pin_positions(labels, cfg.num_types)
-        prefix, leaves = self.tables.case12_ids(pins, sub_lo, sub_lo + hi - lo)
+        cell = 1 << self.cfg.s
         n_prefix, r = leaves.shape
         leaves = leaves.T  # leaf major
         size = max(r, 2) * n_prefix * cell  # the owner's prefix sum and one gathered row set
@@ -399,10 +481,62 @@ class _ScoreContext:
                     self._prefix_rows(prefix, cols, pooled[0], spare)
                 terms = self._terms[: pooled.size].reshape(pooled.shape)
                 scores += _cell_sum(self.pool_term.take(pooled, out=terms, mode="clip"), scratch)
-            if cfg.scorer != "paper_plugin":
+            if self.cfg.scorer != "paper_plugin":
                 scores += self.lgam[cell] - self.lgam[cell + groups * self.n]
-        skip = sub_lo % r
-        return scores.T.reshape(-1)[skip : skip + hi - lo]
+        return scores.T
+
+    def batches(self, lo: int, hi: int, bar: Callable[[], float] | None = None):
+        """(ranks, scores) of the ranks in [lo, hi), in rank order, at most `_SCORE_BATCH` ranks a batch.
+
+        Each assignment pattern's part of the range is one `_walk`, whose
+        prefix rows are scored in batches of `_SCORE_BATCH // r` prefixes.
+        Given `bar`, which reads the current threshold, a context with a
+        `bound` prunes that walk, so only the ranks under the rows it keeps
+        are yielded. Every batch is nonempty; `scored` counts their ranks.
+        """
+        cfg, tables = self.cfg, self.tables
+        prune = (self.bound, bar) if bar is not None and self.bound is not None else None
+        span = _span(cfg)
+        rank = lo
+        while rank < hi:
+            pattern_idx, sub = divmod(rank, span)
+            base = rank - sub
+            stop = min(hi, base + span)
+            labels, levels, radices = _levels(cfg, tables, pattern_idx)
+            r = radices[-1]
+            walk = tables._walk(levels, radices[:-1], sub // r, -(-(stop - base) // r), prune)
+            for prefix, state, prefix_ranks in _rebatch(walk, max(1, _SCORE_BATCH // r)):
+                leaves = levels[-1][0].take(state, axis=0)[:, :r]  # a case1 table is wider than r = 1
+                if labels is None:
+                    scores = self.tuple_score[np.column_stack((prefix, leaves))].sum(axis=1)
+                else:
+                    scores = self._leaf_scores(labels, prefix, leaves).reshape(-1)
+                ranks = ((base + prefix_ranks * r)[:, None] + np.arange(r)).reshape(-1)
+                first, last = np.searchsorted(ranks, (rank, stop))
+                if last > first:
+                    self.scored += int(last - first)
+                    yield ranks[first:last], scores[first:last]
+            rank = stop
+
+
+def _rebatch(parts, size: int):
+    """Row slices (tuples of arrays, one row per index) as batches of at most `size` rows.
+
+    A batch goes out once it is half full, before the next slice is walked.
+    A long slice is cut into views, and short ones are joined, so that only
+    a batch of several slices is a copy.
+    """
+    held, count = [], 0
+    for part in parts:
+        while len(part[0]):
+            held.append(tuple(x[: size - count] for x in part))
+            part = tuple(x[size - count :] for x in part)
+            count += len(held[-1][0])
+            if 2 * count >= size:
+                yield held[0] if len(held) == 1 else tuple(np.concatenate(x) for x in zip(*held))
+                held, count = [], 0
+    if held:
+        yield held[0] if len(held) == 1 else tuple(np.concatenate(x) for x in zip(*held))
 
 
 def _rank_terms(v: int, positions: np.ndarray, arrangements: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -506,52 +640,82 @@ class _EnumTables:
             comb_digit = _slot_sums(np.arange(left)[None, :], sets, *_rank_terms(left, sets, False))[0]
             self.arr.append((tab_id, self.comb[j][1].take(comb_digit, axis=1)))  # C order, for row takes
 
-    def case12_ids(
-        self, pins: tuple[int, ...], sub_lo: int, sub_hi: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Tuple ids of the prefixes covering subranks [sub_lo, sub_hi) of one pattern.
+    def _walk(self, tables, radices, lo: int, hi: int, prune=None):
+        """The rows of prefix ranks [lo, hi), in rank order, a slice at a time.
 
-        Returns the first g-1 groups' ids, shape (n_prefix, g-1), and the
-        last group's ids, shape (n_prefix, r), where r is the last radix;
-        prefix p covers subranks [p*r, (p+1)*r).
-        """
-        tables = [self.comb[j] if j in pins else self.arr[j] for j in range(self.g)]
-        radices = [self.comb_radix[j] if j in pins else self.arr_radix[j] for j in range(self.g)]
-        r = radices[-1]
-        prefix, state = self._walk(tables, radices[:-1], sub_lo // r, -(-sub_hi // r))
-        return prefix, tables[-1][0].take(state, axis=0)
-
-    def case1_ids(self, lo: int, hi: int) -> np.ndarray:
-        """Tuple ids, shape (hi-lo, g): the first radix columns of `comb`.
-
-        The last case1 radix is C(S-1, S-1) = 1, so a prefix is one candidate.
-        """
-        prefix, state = self._walk(self.comb, _case1_radices(self.v, self.g, self.s)[:-1], lo, hi)
-        return np.column_stack((prefix, self.comb[-1][0][state, 0]))
-
-    def _walk(self, tables, radices, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ids of the first len(radices) groups of prefix ranks [lo, hi), and the next state.
-
+        A row is a prefix of the first len(radices) groups. Each slice is
+        (ids, next states, prefix ranks) of some rows, and is nonempty.
         The walk expands one level at a time, so no rank is divided into
-        digits. Its rows are the distinct level-j prefixes of the range, in
-        rank order, starting from the one empty prefix. Each row expands
-        into its whole row of digits, `tab[state, :radix]` (a case1 table is
-        wider than its radix), each child repeating its parent's ids; the
-        children before the range's first prefix and after its last are cut.
+        digits (`_children`). Levels are expanded depth first, the rows of
+        about `_SCORE_BATCH` children at a time, so the rows held stay
+        bounded when nothing is pruned. `prune`, a (`_Bound`, threshold
+        callable) pair, drops the children whose bound is strictly below
+        the threshold read at their expansion.
         """
-        ids = np.empty((1, 0), dtype=np.int64)
-        state = np.zeros(1, dtype=np.intp)
-        first = 0  # the prefix rank of the first row
-        place = math.prod(radices)
-        for (tab_id, tab_next), radix in zip(tables, radices):
-            place //= radix
-            start = lo // place
-            keep = slice(start - first * radix, -(-hi // place) - first * radix)
-            chosen = tab_id.take(state, axis=0)[:, :radix].reshape(-1, 1)[keep]
-            ids = np.concatenate((ids.repeat(radix, axis=0)[keep], chosen), axis=1)
-            state = tab_next.take(state, axis=0)[:, :radix].reshape(-1)[keep]
-            first = start
-        return ids, state
+        depth = len(radices)
+        root = (np.empty((1, 0), dtype=np.int64), np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.int64))
+        if depth == 0:
+            if lo <= 0 < hi:
+                yield root
+            return
+        places = [math.prod(radices[j + 1 :]) for j in range(depth)]
+        stack = [(0, root)]
+        while stack:
+            j, rows = stack.pop()
+            take = max(1, _SCORE_BATCH // radices[j])
+            if len(rows[1]) > take:
+                stack.append((j, tuple(x[take:] for x in rows)))  # after this slice's children
+                rows = tuple(x[:take] for x in rows)
+            cut = (lo // places[j], -(-hi // places[j]))
+            children = _children(tables[j], radices[j], rows, cut, prune, j + 1)
+            if children is None:
+                continue
+            if j + 1 == depth:
+                yield children
+            else:
+                stack.append((j + 1, children))
+
+
+def _children(table, radix: int, rows, cut: tuple[int, int], prune, level: int):
+    """The level-`level` children of walk rows (ids, state, ranks); None if none is kept.
+
+    A row expands into its whole row of digits, `tab[state, :radix]` (a
+    case1 table is wider than its radix), each child repeating its parent's
+    ids, and the children whose prefix ranks lie outside `cut` are dropped.
+    The rows are in rank order and each has a child inside `cut`, so those
+    are the first children of the first row and the last of the last row:
+    the kept children are one run. Given `prune`, the children whose bound
+    is strictly below the threshold are dropped too: the sum of their
+    groups' maxLL plus `rest` of their state, and, for a child of level
+    G-1, which fixes the partition, the largest gap of its groups and of
+    the group its state leaves.
+    """
+    ids, state, ranks = rows
+    tab_id, tab_next = table
+    chosen = tab_id.take(state, axis=0)[:, :radix]
+    state = tab_next.take(state, axis=0)[:, :radix]
+    first = max(0, cut[0] - int(ranks[0]) * radix)
+    last = chosen.size - max(0, (int(ranks[-1]) + 1) * radix - cut[1])
+    kept = None
+    if prune is not None:
+        bound, bar = prune
+        value = bound.maxll.take(ids).sum(axis=1)[:, None] + bound.maxll.take(chosen)
+        value += bound.rest[level].take(state)
+        if level == len(bound.rest) - 1:
+            worst = np.maximum(bound.gap.take(ids).max(axis=1, initial=-np.inf)[:, None], bound.gap.take(chosen))
+            value += np.maximum(worst, bound.last_gap.take(state))
+        kept = first + np.flatnonzero(~(value.reshape(-1)[first:last] < bar()))
+        if len(kept) == 0:
+            return None
+    child = (ranks[:, None] * radix + np.arange(radix)).reshape(-1)
+    if kept is None or len(kept) == last - first:
+        run = slice(first, last)
+        ids = ids.repeat(radix, axis=0)[run]
+        chosen, state, child = chosen.reshape(-1)[run], state.reshape(-1)[run], child[run]
+    else:
+        ids = ids[kept // radix]
+        chosen, state, child = chosen.reshape(-1)[kept], state.reshape(-1)[kept], child[kept]
+    return np.concatenate((ids, chosen[:, None]), axis=1), state, child
 
 
 _ENUM_TABLES: dict[tuple[int, int, int, bool], _EnumTables] = {}
@@ -588,12 +752,12 @@ def _enum_tables(v: int, g: int, s: int, arrangements: bool) -> _EnumTables:
 # Largest space that search() scores in-process whatever `workers` says:
 # starting a pool costs more than scoring it.
 _IN_PROCESS_MAX = 65536
-# Ranks per _ScoreContext.score call; each of the two scoring buffers holds
-# about this many times 2**S cells. On 2 cores (numpy 2.4), scoring V=12
-# in-process ran at 13.9-14.7M ranks/s with 4,096-rank batches, 10.4-13.0M
-# with 2,048 and 15.4-19.2M with 65,536 (three runs each), but 65,536-rank
-# batches put the c12_many_small benchmark's peak RSS at 40.1 MiB, against
-# 39.0 MiB at 4,096.
+# Ranks per scoring batch (`_ScoreContext.batches`) and, about, children per
+# walk expansion; each of the two scoring buffers holds about this many
+# times 2**S cells. On 2 cores (numpy 2.4), scoring V=12 in-process ran at
+# 13.9-14.7M ranks/s with 4,096-rank batches, 10.4-13.0M with 2,048 and
+# 15.4-19.2M with 65,536 (three runs each), but 65,536-rank batches put the
+# c12_many_small benchmark's peak RSS at 40.1 MiB, against 39.0 MiB at 4,096.
 _SCORE_BATCH = 4096
 
 
@@ -614,28 +778,60 @@ def _top_k(ranks: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, n
     return ranks[order], scores[order]
 
 
-def _score_range(ctx: _ScoreContext, start: int, end: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (ranks, scores) for the rank range [start, end), merged batch by batch.
+def _threshold(value: float) -> float:
+    """The threshold of a floor or k-th score: `value` less 1e-9 * max(1, |value|).
 
-    A batch whose best score is at most the k-th held skips the merge: its
-    ranks are all larger, so even a tie with the k-th loses. A NaN on
-    either side fails that test and takes the merge.
+    A bound strictly below it is below `value` by more than float error. A
+    NaN or infinite value gives -inf, against which nothing is pruned.
     """
-    cfg = ctx.cfg
-    span = _per_pattern(cfg) if cfg.mode == "case12" else candidate_count(cfg)
+    if not math.isfinite(value):
+        return -math.inf
+    return value - 1e-9 * max(1.0, abs(value))
+
+
+def _score_range(
+    ctx: _ScoreContext, start: int, end: int, k: int, floor: float = -math.inf
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k (ranks, scores) of the rank range [start, end), merged batch by batch.
+
+    The threshold the context prunes against is that of the larger of
+    `floor` and the k-th score held. A batch whose best score is at most the
+    k-th held skips the merge: its ranks are all larger, so even a tie with
+    the k-th loses. A NaN on either side fails that test and takes the
+    merge.
+    """
     ranks = np.empty(0, dtype=np.int64)
     scores = np.empty(0)
-    rank = start
-    while rank < end:
-        stop = min(end, (rank // span + 1) * span, rank + _SCORE_BATCH)
-        batch = ctx.score(rank, stop)
+
+    def bar() -> float:
+        held = float(scores[k - 1]) if len(scores) >= k else -math.inf
+        return _threshold(max(floor, held))  # a NaN k-th leaves the floor
+
+    for batch_ranks, batch in ctx.batches(start, end, bar):
         if len(scores) < k or not batch.max() <= scores[-1]:
-            ranks, scores = _top_k(
-                np.concatenate((ranks, np.arange(rank, stop, dtype=np.int64))),
-                np.concatenate((scores, batch)),
-                k,
-            )
-        rank = stop
+            ranks, scores = _top_k(np.concatenate((ranks, batch_ranks)), np.concatenate((scores, batch)), k)
+    return ranks, scores
+
+
+def _exact_top_k(sweep: Callable, floor: float, total: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top-k (ranks, scores) of all `total` candidates, from one or two pruned sweeps.
+
+    `sweep(floor)` returns the top-k of the candidates it scored and how
+    many it scored. The first sweep prunes against `floor`. Its top-k is
+    exact when it pruned nothing, or when its k-th score reaches the
+    floor's threshold: a pruned candidate then scores below that k-th.
+    Otherwise the second sweep prunes against the first one's k-th score,
+    which k candidates reach, so it is exact.
+    """
+    for sweep_no in (1, 2):
+        ranks, scores, scored = sweep(floor)
+        logger.info(
+            "pass %d: floor %r, scored %d of %d candidates, pruned %d",
+            sweep_no, floor, scored, total, total - scored,
+        )
+        if scored == total or (len(scores) >= k and scores[k - 1] >= _threshold(floor)):
+            break
+        floor = float(scores[k - 1]) if len(scores) >= k else -math.inf
     return ranks, scores
 
 
@@ -647,10 +843,11 @@ def _worker_init(patterns: np.ndarray, cfg: SearchConfig) -> None:
     _WORKER_CTX = _ScoreContext(patterns, cfg)
 
 
-def _worker_score_range(start: int, end: int, k: int) -> tuple[list[int], list[float]]:
+def _worker_score_range(start: int, end: int, k: int, floor: float) -> tuple[list[int], list[float], int]:
     assert _WORKER_CTX is not None
-    ranks, scores = _score_range(_WORKER_CTX, start, end, k)
-    return ranks.tolist(), scores.tolist()
+    held = _WORKER_CTX.scored
+    ranks, scores = _score_range(_WORKER_CTX, start, end, k, floor)
+    return ranks.tolist(), scores.tolist(), _WORKER_CTX.scored - held
 
 
 class SearchSession:
@@ -686,9 +883,14 @@ def search(
     workers score disjoint contiguous rank ranges and emit partial top-k
     lists; the merge orders by (score desc, rank asc), so the result is
     identical for every worker count. Either way a range is scored in
-    batches of `_SCORE_BATCH` (4,096) ranks. A `session` carries the tuple
-    tallies from one call to the next; without one the call is a
-    session's first search.
+    batches of at most `_SCORE_BATCH` (4,096) ranks.
+
+    A `dirichlet_marginal` case12 search prunes (module docstring): its
+    first sweep takes the bound of one partition as floor, and a second
+    sweep, in the same pool, runs when the first may have pruned a top-k
+    member (`_exact_top_k`). The result is that of scoring every candidate,
+    for every worker count. A `session` carries the tuple tallies from one
+    call to the next; without one the call is a session's first search.
     """
     if len(patterns) == 0:
         raise ValueError("search requires a nonempty dataset")
@@ -697,33 +899,42 @@ def search(
     # Built before any pool starts: forked workers inherit the enumeration
     # tables, and the final unranks below reuse them.
     ctx = (session or SearchSession()).context(patterns, cfg)
+    floor = ctx.bound.floor if ctx.bound is not None else -math.inf
 
     if cfg.workers == 1 or total <= _IN_PROCESS_MAX:
-        ranks, scores = _score_range(ctx, 0, total, k)
-        logger.info("scored %d ranks in-process", total)
+
+        def sweep(floor: float):
+            held = ctx.scored
+            return (*_score_range(ctx, 0, total, k, floor), ctx.scored - held)
+
+        ranks, scores = _exact_top_k(sweep, floor, total, k)
     else:
         chunk = max(1, -(-total // (cfg.workers * 64)))
         ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        parts = []
         with ProcessPoolExecutor(
             max_workers=cfg.workers, initializer=_worker_init, initargs=(ctx.patterns, cfg)
         ) as pool:
-            futures = [pool.submit(_worker_score_range, lo, hi, k) for lo, hi in ranges]
-            for (lo, hi), fut in zip(ranges, futures):
-                part_ranks, part_scores = fut.result()
-                parts.append((np.asarray(part_ranks, dtype=np.int64), np.asarray(part_scores)))
-                logger.info("scored ranks [%d, %d) of %d", lo, hi, total)
-        ranks = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
 
-    order = np.lexsort((ranks, -scores))[:k]
+            def sweep(floor: float):
+                futures = [pool.submit(_worker_score_range, lo, hi, k, floor) for lo, hi in ranges]
+                ranks, scores, scored = [], [], 0
+                for (lo, hi), fut in zip(ranges, futures):
+                    part_ranks, part_scores, part_scored = fut.result()
+                    ranks.append(np.asarray(part_ranks, dtype=np.int64))
+                    scores.append(np.asarray(part_scores))
+                    scored += part_scored
+                    logger.info("scored %d of ranks [%d, %d) of %d", part_scored, lo, hi, total)
+                return (*_top_k(np.concatenate(ranks), np.concatenate(scores), k), scored)
+
+            ranks, scores = _exact_top_k(sweep, floor, total, k)
+
     return [
         ScoredCandidate(
-            candidate=unrank_candidate(cfg, int(ranks[i])),
-            log_score=float(scores[i]),
-            rank=int(ranks[i]),
+            candidate=unrank_candidate(cfg, int(rank)),
+            log_score=float(score),
+            rank=int(rank),
         )
-        for i in order
+        for rank, score in zip(ranks, scores)
     ]
 
 

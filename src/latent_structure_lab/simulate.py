@@ -293,6 +293,8 @@ def read_model(path: str | Path) -> UrnTruth | BitVectorTruth:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise DatasetParseError(f"{path}: a model file holds a JSON object, not {type(payload).__name__}")
     kind = payload.get("kind")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise DatasetParseError(f"{path}: unsupported format_version")

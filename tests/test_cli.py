@@ -120,6 +120,13 @@ class TestEstimate:
         _, data = bits_setup
         assert main(["estimate", "--case", "c13", "--data", str(data)]) == 2
 
+    def test_model_that_is_not_an_object_exits_2(self, bits_setup, tmp_path, capsys):
+        _, data = bits_setup
+        model = tmp_path / "m.json"
+        model.write_text("[1, 2]")
+        assert main(["estimate", "--case", "c13", "--data", str(data), "--model", str(model)]) == 2
+        assert f"{model}: a model file holds a JSON object, not list" in capsys.readouterr().err
+
     def test_malformed_data_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"bits":"0101"}\n{"nope":1}\n')

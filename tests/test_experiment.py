@@ -450,6 +450,25 @@ class TestBitVectors:
         )
         check_search_cost(small, allow_expensive=False)
 
+    def test_expensive_refusal_states_upper_bounds(self):
+        # a pruned search scores fewer candidates than the guard prices
+        spec = ExperimentSpec(
+            kind="bit_vectors",
+            n_samples=100,
+            n_runs=100,
+            base_seed=1,
+            cases=("c12",),
+            checkpoints=(100,),
+            bits_config=BitsConfig(v=12, g=4, s=3),
+        )
+        with pytest.raises(ExpensiveSearchError) as refused:
+            check_search_cost(spec, allow_expensive=False)
+        assert str(refused.value) == (
+            "case c12 would search 106,444,800 candidates at 1 checkpoints over 100 run(s) "
+            "(at most ~10,644,480,000 scorings, at most 0.2 worker-hours); "
+            "pass allow_expensive to run it anyway"
+        )
+
 
 class TestBitVectorsMatchOracle:
     """The batched ladder equals one fit per (case, checkpoint) bit for bit,

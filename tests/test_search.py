@@ -3,7 +3,9 @@ import functools
 import hashlib
 import importlib
 import itertools
+import logging
 import math
+import re
 import time
 import tracemalloc
 
@@ -618,6 +620,13 @@ def candidate_gather(ctx, ids, assignments):
     return scores
 
 
+def every_score(ctx, lo, hi):
+    """The scores of ranks [lo, hi) from an unpruned `batches`, which yields each rank once, in order."""
+    parts = list(ctx.batches(lo, hi))
+    assert np.array_equal(np.concatenate([ranks for ranks, _ in parts]), np.arange(lo, hi))
+    return np.concatenate([scores for _, scores in parts])
+
+
 class TestPrefixScorer:
     """The per-prefix case12 scorer equals the per-candidate gather bit for bit."""
 
@@ -636,7 +645,7 @@ class TestPrefixScorer:
         per_pattern = math.factorial(v) // math.factorial(s) ** num_types
         want = gather_scores(ctx)
         got = np.concatenate(
-            [ctx.score(lo, lo + per_pattern) for lo in range(0, candidate_count(cfg), per_pattern)]
+            [every_score(ctx, lo, lo + per_pattern) for lo in range(0, candidate_count(cfg), per_pattern)]
         )
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -653,7 +662,7 @@ class TestPrefixScorer:
                 assert lo == base or lo % 6 != 0
                 ids, assignments = unranked_batch(dataclasses.replace(cfg, scorer=SCORERS[0]), lo, lo + batch)
                 want = candidate_gather(ctx, ids, assignments)
-                got = ctx.score(lo, lo + batch)
+                got = every_score(ctx, lo, lo + batch)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), lo
 
     @pytest.mark.parametrize("scorer", SCORERS)
@@ -677,7 +686,7 @@ class TestPrefixScorer:
 
 def walk_inputs(cfg):
     """(tables, radices) of every prefix walk of `cfg`: one per assignment
-    pattern in case12, picked as `case12_ids` picks them, and the case1 one."""
+    pattern in case12, picked as `_levels` picks them, and the case1 one."""
     tables = search_module._enum_tables(cfg.v, cfg.g, cfg.s, arrangements=cfg.mode == "case12")
     if cfg.mode == "case1":
         yield tables.comb, search_module._case1_radices(cfg.v, cfg.g, cfg.s)[:-1]
@@ -698,7 +707,8 @@ def walk_ranges(radices, rng):
     if total <= 5000:
         yield 0, total
     for rank in (0, 1, total - 1, *rng.integers(total, size=5).tolist()):
-        yield rank, rank + 1
+        if rank < total:
+            yield rank, rank + 1
     for _ in range(5):
         lo = int(rng.integers(total))
         yield lo, min(total, lo + int(rng.integers(1, 1500)))
@@ -725,8 +735,11 @@ class TestWalk:
         rng = np.random.default_rng(cfg.v * 10 + cfg.g)
         for chosen, radices in walk_inputs(cfg):
             for lo, hi in walk_ranges(radices, rng):
-                ids, state = tables._walk(chosen, radices, lo, hi)
+                slices = list(tables._walk(chosen, radices, lo, hi))
+                assert all(len(part[0]) for part in slices)
+                ids, state, ranks = (np.concatenate(x) for x in zip(*slices))
                 want_ids, want_state = oracle_walk(chosen, radices, lo, hi)
+                assert np.array_equal(ranks, np.arange(lo, hi))
                 assert ids.dtype == want_ids.dtype and ids.shape == want_ids.shape
                 assert np.array_equal(ids, want_ids), (lo, hi)
                 assert np.array_equal(state, want_state), (lo, hi)
@@ -792,14 +805,20 @@ class TestCellSum:
 
 
 class StubScores:
-    """A score context over fixed scores, for `_score_range`."""
+    """A score context over fixed scores, for `_score_range`: it prunes
+    nothing, and cuts its batches at each assignment pattern's end and every
+    `_SCORE_BATCH` ranks."""
 
     def __init__(self, cfg, scores):
         self.cfg = cfg
         self.scores = scores
 
-    def score(self, lo, hi):
-        return self.scores[lo:hi].copy()
+    def batches(self, lo, hi, bar=None):
+        span = _per_pattern(self.cfg)
+        while lo < hi:
+            stop = min(hi, (lo // span + 1) * span, lo + search_module._SCORE_BATCH)
+            yield np.arange(lo, stop), self.scores[lo:stop].copy()
+            lo = stop
 
 
 class TestBatchSkip:
@@ -1021,6 +1040,173 @@ class TestSearchSession:
         for mode, scorer in itertools.product(MODES, SCORERS):
             cfg = self.config(mode, scorer)
             assert result_bits(search(patterns, cfg, session)) == result_bits(search(patterns, cfg))
+
+
+BOUND_SIZES = (1, 5, 30, 300)
+
+
+def separated_patterns(v, g, s, n, seed=40):
+    """n patterns of a truth with well separated types, so that the bound prunes at large n."""
+    truth = build_bitvector_truth(BitsConfig(v=v, g=g, s=s, min_separation=0.6), seed + v)
+    return draw_patterns(truth, seed + v + 1, n)
+
+
+def set_partitions(pool, s):
+    """Every partition of `pool` into sorted s-subsets."""
+    if not pool:
+        yield ()
+        return
+    first, rest = pool[0], pool[1:]
+    for others in itertools.combinations(rest, s - 1):
+        left = tuple(x for x in rest if x not in others)
+        for tail in set_partitions(left, s):
+            yield ((first, *others), *tail)
+
+
+def best_rest_oracle(tables, maxll):
+    """Per level j, per state: the largest sum of maxll over the S-partitions of the
+    state's unused variables, by brute force. Level j's states are the sets of
+    V - j*S variables in reverse lexicographic order (`_EnumTables`)."""
+    v, g, s = tables.v, tables.g, tables.s
+    index = {tup: i for i, tup in enumerate(tables.tuples)}
+    return [
+        np.array([
+            max(sum(maxll[index[grp]] for grp in part) for part in set_partitions(unused, s))
+            for unused in list(itertools.combinations(range(v), v - j * s))[::-1]
+        ])
+        for j in range(g)
+    ]
+
+
+class TestBranchAndBound:
+    """The dirichlet_marginal case12 search prunes with a valid bound and stays exact."""
+
+    V9 = SearchConfig(v=9, g=3, s=3, mode="case12", scorer="dirichlet_marginal")
+
+    @pytest.mark.parametrize("n", BOUND_SIZES)
+    def test_bound_terms_match_their_definition(self, n):
+        ctx = _ScoreContext(separated_patterns(9, 3, 3, n), self.V9)
+        for row, maxll, gap in zip(ctx.tally, ctx.bound.maxll, ctx.bound.gap):
+            want_maxll = sum(int(c) * math.log(int(c) / n) for c in row if c)
+            want_ml = math.lgamma(8) - math.lgamma(8 + n) + sum(math.lgamma(int(c) + 1) for c in row)
+            assert maxll == pytest.approx(want_maxll, rel=1e-12, abs=1e-12)
+            assert gap == pytest.approx(want_ml - want_maxll, rel=1e-9, abs=1e-9)
+            assert gap <= 0.0
+
+    @pytest.mark.parametrize("num_types", (1, 2))
+    @pytest.mark.parametrize("n", BOUND_SIZES)
+    def test_bound_is_at_least_every_v9_score(self, n, num_types):
+        cfg = dataclasses.replace(self.V9, num_types=num_types)
+        ctx = _ScoreContext(separated_patterns(9, 3, 3, n), cfg)
+        ids, _ = unranked_space(dataclasses.replace(cfg, scorer=SCORERS[0]))
+        bound = ctx.bound.maxll[ids].sum(axis=1) + ctx.bound.gap[ids].max(axis=1)
+        assert (gather_scores(ctx) < bound).all()
+
+    @pytest.mark.parametrize("v, g, s", ((9, 3, 3), (8, 4, 2)))
+    def test_best_rest_and_floor(self, v, g, s):
+        cfg = SearchConfig(v=v, g=g, s=s, mode="case12", scorer="dirichlet_marginal")
+        ctx = _ScoreContext(separated_patterns(v, g, s, 60), cfg)
+        want = best_rest_oracle(ctx.tables, ctx.bound.maxll)
+        for got_level, want_level in zip(ctx.bound.rest, want, strict=True):
+            assert got_level == pytest.approx(want_level, rel=1e-12)
+        # the floor is the full bound of one partition of the largest sum of maxLL
+        partitions = list(set_partitions(tuple(range(v)), s))
+        index = {tup: i for i, tup in enumerate(ctx.tables.tuples)}
+        ids = np.array([[index[grp] for grp in part] for part in partitions])
+        sums = ctx.bound.maxll[ids].sum(axis=1)
+        best = ids[np.isclose(sums, sums.max(), rtol=1e-12)]
+        fulls = sums.max() + ctx.bound.gap[best].max(axis=1)
+        assert np.isclose(fulls, ctx.bound.floor, rtol=1e-12).any()
+
+    @pytest.mark.parametrize("v, g, s", ((9, 3, 3), (8, 4, 2)))
+    def test_walk_keeps_exactly_the_rows_whose_bound_reaches_the_threshold(self, v, g, s):
+        # integer terms add exactly in any order, so some bounds equal the
+        # threshold, and those rows are kept
+        tables = search_module._enum_tables(v, g, s, arrangements=True)
+        rng = np.random.default_rng(v)
+        per_set = {}
+        for tup in tables.tuples:
+            per_set.setdefault(frozenset(tup), (-float(rng.integers(0, 30)), -float(rng.integers(0, 6))))
+        maxll = np.array([per_set[frozenset(tup)][0] for tup in tables.tuples])
+        gap = np.array([per_set[frozenset(tup)][1] for tup in tables.tuples])
+        last = tables.comb[g - 1][0][:, 0]
+        bound = search_module._Bound(maxll, gap, best_rest_oracle(tables, maxll), gap[last], 0.0)
+        cfg = SearchConfig(v=v, g=g, s=s, mode="case12", scorer="dirichlet_marginal")
+        for chosen, radices in walk_inputs(cfg):
+            total = math.prod(radices)
+            ids, state = oracle_walk(chosen, radices, 0, total)
+            full = maxll[ids].sum(axis=1) + maxll[last[state]]
+            full += np.maximum(gap[ids].max(axis=1), gap[last[state]])
+            values = np.unique(full)
+            lo, hi = total // 7, total - total // 5
+            for threshold in values[:: max(1, len(values) // 6)]:
+                for start, stop in ((0, total), (lo, hi)):
+                    slices = list(tables._walk(chosen, radices, start, stop, (bound, lambda: threshold)))
+                    got = np.concatenate([part[2] for part in slices]) if slices else np.empty(0, int)
+                    want = start + np.flatnonzero(full[start:stop] >= threshold)
+                    assert np.array_equal(got, want), (threshold, start, stop)
+
+    def test_threshold_margin(self):
+        threshold = search_module._threshold
+        for value in (-3000.0, -0.25, 0.0, 0.5, 2e6):
+            assert value - threshold(value) == pytest.approx(1e-9 * max(1.0, abs(value)), rel=1e-6)
+        for value in (math.nan, -math.inf, math.inf):
+            assert threshold(value) == -math.inf
+
+    @pytest.mark.parametrize("top_k", (1, 10))
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("n", BOUND_SIZES)
+    @pytest.mark.parametrize("num_types", (1, 2))
+    @pytest.mark.parametrize("v, g, s", ((6, 2, 3), (8, 4, 2), (9, 3, 3)))
+    def test_top_k_equals_the_exhaustive_oracle(self, v, g, s, num_types, n, workers, top_k):
+        # V=8 with two types has 80,640 candidates, so two workers use a pool
+        cfg = SearchConfig(
+            v=v, g=g, s=s, num_types=num_types, mode="case12", scorer="dirichlet_marginal",
+            workers=workers, top_k=top_k,
+        )
+        patterns = separated_patterns(v, g, s, n)
+        oracle = gather_scores(_ScoreContext(patterns, dataclasses.replace(cfg, workers=1, top_k=10)))
+        order = np.lexsort((np.arange(len(oracle)), -oracle))[:top_k]
+        assert result_bits(search(patterns, cfg)) == [(int(r), float(oracle[r]).hex()) for r in order]
+
+    def test_session_over_growing_checkpoints(self):
+        # the checkpoints and top-1 of a c12 curve: every one equals a fresh
+        # search and the exhaustive oracle
+        cfg = SearchConfig(v=9, g=3, s=3, mode="case12", scorer="dirichlet_marginal", workers=2, top_k=1)
+        patterns = separated_patterns(9, 3, 3, 300, seed=33)
+        session = SearchSession()
+        for n in range(10, 301, 10):
+            got = result_bits(search(patterns[:n], cfg, session))
+            assert got == result_bits(search(patterns[:n], cfg)), n
+            oracle = gather_scores(_ScoreContext(patterns[:n], self.V9))
+            best = int(np.argmax(oracle))
+            assert got == [(best, float(oracle[best]).hex())], n
+
+    PASS_LINE = re.compile(r"pass (\d): floor (\S+), scored (\d+) of (\d+) candidates, pruned (\d+)$")
+
+    def passes(self, caplog, patterns, cfg):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="latent_structure_lab.search"):
+            search(patterns, cfg)
+        lines = [self.PASS_LINE.match(r.getMessage()) for r in caplog.records]
+        return [(int(m[1]), float(m[2]), int(m[3]), int(m[4]), int(m[5])) for m in lines if m]
+
+    def test_search_logs_each_pass(self, caplog):
+        patterns = separated_patterns(9, 3, 3, 300)
+        total = candidate_count(self.V9)
+        # the first pass's k-th score is below its floor, so a top-k member
+        # may have been pruned, and a second pass runs from that k-th
+        passes = self.passes(caplog, patterns, self.V9)
+        assert [p[0] for p in passes] == [1, 2]
+        assert passes[0][1] == _ScoreContext(patterns, self.V9).bound.floor > passes[1][1]
+        assert all(scored + pruned == count == total for _, _, scored, count, pruned in passes)
+        assert passes[1][4] > total // 2
+        # one sample: a first pass that prunes nothing is exact
+        passes = self.passes(caplog, patterns[:1], self.V9)
+        assert [(p[0], p[2], p[4]) for p in passes] == [(1, total, 0)]
+        # the exhaustive scorer runs one pass that prunes nothing
+        paper = dataclasses.replace(self.V9, scorer="paper_plugin")
+        assert self.passes(caplog, patterns, paper) == [(1, -math.inf, total, total, 0)]
 
 
 class TestSearchMemory:
