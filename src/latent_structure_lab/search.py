@@ -28,10 +28,11 @@ Candidates are totally ordered by rank: assignment pattern major,
 permutation minor. Within a pattern, a rank's mixed-radix digits are
 walked through per-geometry tables (`_EnumTables`): digit j picks group j
 from the variables still unused and names the next set of unused
-variables. That one walk unranks whole scoring batches and the single
-top-k ranks alike. Enumeration, scoring, and the parallel top-k reduction
-are all pure functions of (dataset, config), so results are identical for
-any worker count.
+variables. A walk of those tables unranks whole scoring batches, and the
+top-k ranks are unranked by looking up their digits in the same tables.
+Enumeration, scoring, and the parallel top-k reduction are all pure
+functions of (dataset, config), so results are identical for any worker
+count.
 
 In case1 mode there is no assignment and no type is shared, so neither the
 case1 scorers nor the c1 estimate (`estimate.fit_bit_case`) read slot
@@ -61,7 +62,11 @@ Against the k-th alone, a pruned candidate scores strictly below k scored
 ones, so the top-k ranks and scores are those of scoring every candidate,
 for any worker count. `search` first sweeps with the bound of one partition
 as the floor; that sweep is exact when its k-th score reaches the floor's
-threshold, and otherwise a second sweep takes its k-th score as the floor.
+threshold, or when as many set partitions have a bound that reaches its
+k-th as reach the floor, and otherwise a second sweep takes its k-th score
+as the floor. Over more than `_IN_PROCESS_MAX` candidates each sweep is
+priced by those partitions, so only a sweep that leaves many candidates
+starts a worker pool.
 case1 and `paper_plugin` walk the same way with no bound, so they score
 every candidate.
 """
@@ -209,21 +214,37 @@ def _levels(cfg: SearchConfig, tables: "_EnumTables", pattern_idx: int):
 
 
 def unrank_candidate(cfg: SearchConfig, rank: int) -> Candidate:
-    """The rank-th canonical candidate in the fixed total order: a one-row table walk.
+    """The rank-th canonical candidate in the fixed total order (`_unrank`)."""
+    return _unrank(cfg, [rank])[0]
 
-    The walk fixes the first G-1 groups; the last radix (r) counts the last
-    group's slot orders, so rank's prefix is sub // r and its leaf sub % r.
+
+def _unrank(cfg: SearchConfig, ranks: Sequence[int]) -> list[Candidate]:
+    """The canonical candidates of `ranks`, one table lookup per level for each assignment pattern's ranks.
+
+    Within its pattern's span a rank's mixed-radix digits, most significant
+    first, pick each level's group and next state, as a walk does.
     """
     total = candidate_count(cfg)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} outside [0, {total})")
+    for rank in ranks:
+        if not 0 <= rank < total:
+            raise ValueError(f"rank {rank} outside [0, {total})")
     tables = _enum_tables(cfg.v, cfg.g, cfg.s, arrangements=cfg.mode == "case12")
-    pattern_idx, sub = divmod(rank, _span(cfg))
-    labels, levels, radices = _levels(cfg, tables, pattern_idx)
-    r = radices[-1]
-    ((prefix, state, _),) = tables._walk(levels, radices[:-1], sub // r, sub // r + 1)
-    ids = [*prefix[0], levels[-1][0][state[0], sub % r]]
-    return Candidate(Grouping(tuple(tables.tuples[i] for i in ids)), labels)
+    span = _span(cfg)
+    by_pattern: dict[int, list[int]] = {}
+    for rank in {int(rank) for rank in ranks}:
+        by_pattern.setdefault(rank // span, []).append(rank)
+    found = {}
+    for idx, group in by_pattern.items():
+        labels, levels, radices = _levels(cfg, tables, idx)
+        digits = np.array(group, dtype=np.int64) % span
+        state, ids = np.zeros(len(group), dtype=np.intp), []
+        for j, (tab_id, tab_next) in enumerate(levels):
+            digit, digits = np.divmod(digits, math.prod(radices[j + 1 :]))
+            ids.append(tab_id[state, digit].tolist())
+            state = tab_next[state, digit]
+        for rank, row in zip(group, zip(*ids)):
+            found[rank] = Candidate(Grouping(tuple(tables.tuples[t] for t in row)), labels)
+    return [found[int(rank)] for rank in ranks]
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +770,8 @@ def _enum_tables(v: int, g: int, s: int, arrangements: bool) -> _EnumTables:
     return _ENUM_TABLES[key]
 
 
-# Largest space that search() scores in-process whatever `workers` says:
-# starting a pool costs more than scoring it.
+# Candidates a sweep of search() may score in-process whatever `workers`
+# says: starting a pool costs more than scoring that many.
 _IN_PROCESS_MAX = 65536
 # Ranks per scoring batch (`_ScoreContext.batches`) and, about, children per
 # walk expansion; each of the two scoring buffers holds about this many
@@ -813,25 +834,56 @@ def _score_range(
     return ranks, scores
 
 
-def _exact_top_k(sweep: Callable, floor: float, total: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _partitions_reaching(ctx: _ScoreContext, threshold: float) -> int:
+    """The set partitions whose full bound reaches `threshold`: one pruned case1 walk.
+
+    A case1 row of the combination tables fixes a partition's first G-1
+    groups, and its state the last group, so `_children` keeps it at level
+    G-1 when its full bound is not strictly below `threshold`. The test is
+    monotone at every level, so a lower threshold keeps a superset.
+    """
+    cfg, tables = ctx.cfg, ctx.tables
+    radices = _case1_radices(cfg.v, cfg.g, cfg.s)[:-1]
+    walk = tables._walk(tables.comb, radices, 0, math.prod(radices), (ctx.bound, lambda: threshold))
+    return sum(len(rows[2]) for rows in walk)
+
+
+def _exact_top_k(
+    sweep: Callable, survivors: Callable, floor: float, total: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
     """The top-k (ranks, scores) of all `total` candidates, from one or two pruned sweeps.
 
-    `sweep(floor)` returns the top-k of the candidates it scored and how
-    many it scored. The first sweep prunes against `floor`. Its top-k is
-    exact when it pruned nothing, or when its k-th score reaches the
-    floor's threshold: a pruned candidate then scores below that k-th.
-    Otherwise the second sweep prunes against the first one's k-th score,
-    which k candidates reach, so it is exact.
+    `survivors(value)` counts the set partitions whose bound reaches
+    `value` less half its threshold's margin, or is None when the search
+    does not count them. `sweep(floor, count)` prunes against `floor`, is
+    priced by that count, and returns the top-k of the candidates it
+    scored, how many it scored and where it ran.
+
+    The first sweep prunes against `floor`. Its top-k is exact when it
+    pruned nothing, or when its k-th score reaches the floor's threshold: a
+    pruned candidate then scores below that k-th. It is also exact when as
+    many partitions survive at its k-th as at the floor. The lower value's
+    partitions include the higher one's, so the sets are equal. The
+    partition of a candidate the sweep pruned lies in neither, so its bound,
+    and the candidate's score, are below the k-th. Otherwise the second
+    sweep prunes against the first one's k-th score, which k candidates
+    reach, so it is exact.
     """
+    count = survivors(floor)
     for sweep_no in (1, 2):
-        ranks, scores, scored = sweep(floor)
+        ranks, scores, scored, where = sweep(floor, count)
         logger.info(
-            "pass %d: floor %r, scored %d of %d candidates, pruned %d",
-            sweep_no, floor, scored, total, total - scored,
+            "pass %d: floor %r, surviving partitions %s, %s, scored %d of %d candidates, pruned %d",
+            sweep_no, floor, "not counted" if count is None else count, where, scored, total, total - scored,
         )
         if scored == total or (len(scores) >= k and scores[k - 1] >= _threshold(floor)):
             break
-        floor = float(scores[k - 1]) if len(scores) >= k else -math.inf
+        kth = float(scores[k - 1]) if len(scores) >= k else -math.inf
+        at_kth = survivors(kth)
+        if at_kth is not None and at_kth == count:
+            logger.info("pass 2 skipped: at pass 1's k-th %r as many partitions survive as at its floor, %d", kth, count)
+            break
+        floor, count = kth, at_kth
     return ranks, scores
 
 
@@ -877,20 +929,26 @@ def search(
 ) -> list[ScoredCandidate]:
     """Exact top-k over the canonical candidate space.
 
-    A space of at most `_IN_PROCESS_MAX` (65,536) candidates, or any space
+    Each sweep over the space is priced by the candidates it may score. A
+    sweep of at most `_IN_PROCESS_MAX` (65,536) candidates, or any sweep
     when `workers` is 1, is scored in-process as one rank range, because
-    starting a pool costs more than scoring a small space. Otherwise
-    workers score disjoint contiguous rank ranges and emit partial top-k
-    lists; the merge orders by (score desc, rank asc), so the result is
-    identical for every worker count. Either way a range is scored in
-    batches of at most `_SCORE_BATCH` (4,096) ranks.
+    starting a pool costs more than scoring that many. Otherwise workers
+    score disjoint contiguous rank ranges and emit partial top-k lists; the
+    merge orders by (score desc, rank asc), so the result is identical for
+    every worker count. The pool starts at the first sweep that needs it and
+    serves both sweeps. Either way a range is scored in batches of at most
+    `_SCORE_BATCH` (4,096) ranks.
 
     A `dirichlet_marginal` case12 search prunes (module docstring): its
     first sweep takes the bound of one partition as floor, and a second
-    sweep, in the same pool, runs when the first may have pruned a top-k
-    member (`_exact_top_k`). The result is that of scoring every candidate,
-    for every worker count. A `session` carries the tuple tallies from one
-    call to the next; without one the call is a session's first search.
+    sweep runs when the first may have pruned a top-k member
+    (`_exact_top_k`). Over `_IN_PROCESS_MAX` candidates, it prices a sweep
+    by the set partitions whose bound reaches its floor
+    (`_partitions_reaching`), times the candidates per partition, which are
+    the same for every partition; any other search prices every sweep at the
+    whole space. The result is that of scoring every candidate, for every
+    worker count. A `session` carries the tuple tallies from one call to the
+    next; without one the call is a session's first search.
     """
     if len(patterns) == 0:
         raise ValueError("search requires a nonempty dataset")
@@ -900,41 +958,49 @@ def search(
     # tables, and the final unranks below reuse them.
     ctx = (session or SearchSession()).context(patterns, cfg)
     floor = ctx.bound.floor if ctx.bound is not None else -math.inf
+    per_partition = total // math.prod(_case1_radices(cfg.v, cfg.g, cfg.s))
+    counted = ctx.bound is not None and total > _IN_PROCESS_MAX
 
-    if cfg.workers == 1 or total <= _IN_PROCESS_MAX:
+    def survivors(value: float) -> int | None:
+        # Counted halfway between `value` and its threshold, which a sweep
+        # prunes against. Both gaps dwarf the float error between this
+        # walk's bounds and the case12 walk's, so the partition of a
+        # candidate pruned against the floor is not counted at the floor,
+        # one not counted at a k-th scores below that k-th, and the greedy
+        # partition, whose bound is the floor, is counted at the floor.
+        return _partitions_reaching(ctx, (value + _threshold(value)) / 2) if counted else None
 
-        def sweep(floor: float):
+    pool: ProcessPoolExecutor | None = None
+
+    def sweep(floor: float, count: int | None):
+        nonlocal pool
+        if cfg.workers == 1 or (total if count is None else count * per_partition) <= _IN_PROCESS_MAX:
             held = ctx.scored
-            return (*_score_range(ctx, 0, total, k, floor), ctx.scored - held)
-
-        ranks, scores = _exact_top_k(sweep, floor, total, k)
-    else:
+            return (*_score_range(ctx, 0, total, k, floor), ctx.scored - held, "in-process")
+        if pool is None:
+            pool = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_worker_init, initargs=(ctx.patterns, cfg))
         chunk = max(1, -(-total // (cfg.workers * 64)))
         ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_worker_init, initargs=(ctx.patterns, cfg)
-        ) as pool:
+        futures = [pool.submit(_worker_score_range, lo, hi, k, floor) for lo, hi in ranges]
+        ranks, scores, scored = [], [], 0
+        for (lo, hi), fut in zip(ranges, futures):
+            part_ranks, part_scores, part_scored = fut.result()
+            ranks.append(np.asarray(part_ranks, dtype=np.int64))
+            scores.append(np.asarray(part_scores))
+            scored += part_scored
+            logger.info("scored %d of ranks [%d, %d) of %d", part_scored, lo, hi, total)
+        top = _top_k(np.concatenate(ranks), np.concatenate(scores), k)
+        return (*top, scored, f"pool of {cfg.workers} workers")
 
-            def sweep(floor: float):
-                futures = [pool.submit(_worker_score_range, lo, hi, k, floor) for lo, hi in ranges]
-                ranks, scores, scored = [], [], 0
-                for (lo, hi), fut in zip(ranges, futures):
-                    part_ranks, part_scores, part_scored = fut.result()
-                    ranks.append(np.asarray(part_ranks, dtype=np.int64))
-                    scores.append(np.asarray(part_scores))
-                    scored += part_scored
-                    logger.info("scored %d of ranks [%d, %d) of %d", part_scored, lo, hi, total)
-                return (*_top_k(np.concatenate(ranks), np.concatenate(scores), k), scored)
-
-            ranks, scores = _exact_top_k(sweep, floor, total, k)
+    try:
+        ranks, scores = _exact_top_k(sweep, survivors, floor, total, k)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     return [
-        ScoredCandidate(
-            candidate=unrank_candidate(cfg, int(rank)),
-            log_score=float(score),
-            rank=int(rank),
-        )
-        for rank, score in zip(ranks, scores)
+        ScoredCandidate(candidate=candidate, log_score=float(score), rank=int(rank))
+        for candidate, rank, score in zip(_unrank(cfg, ranks.tolist()), ranks, scores)
     ]
 
 

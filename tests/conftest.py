@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from latent_structure_lab import estimate
@@ -13,3 +15,18 @@ def small_em_pool(monkeypatch):
     datasets cross many refills whatever the production capacity is."""
     monkeypatch.setattr(estimate, "_EM_POOL_ROWS", SMALL_EM_POOL_ROWS)
     return SMALL_EM_POOL_ROWS
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The `max_workers` of each worker pool that `search` starts during the test."""
+    search_module = importlib.import_module("latent_structure_lab.search")
+    starts = []
+
+    class CountingPool(search_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", CountingPool)
+    return starts

@@ -51,9 +51,8 @@ def test_setup_only(tmp_path, workload):
     assert run_rep(tmp_path, workload, "--setup-only")["stage"] == "setup_only"
 
 
-# search_case12_v12 is left out: one search of it takes about 10 s.
 @pytest.mark.parametrize("traced", (False, True), ids=("untraced", "traced"))
-@pytest.mark.parametrize("workload", ("urns_em", "bits_ladder_v12", "c12_many_small"))
+@pytest.mark.parametrize("workload", ("urns_em", "bits_ladder_v12", "search_case12_v12", "c12_many_small"))
 def test_outputs_match_golden(tmp_path, workload, traced):
     result = run_rep(tmp_path, workload, *(("--trace",) if traced else ()))
     assert result["stage"] == "done", result.get("error")

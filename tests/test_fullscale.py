@@ -93,9 +93,10 @@ def test_v12_g3_s4_tables_match_oracle(arrangements):
 
 
 @pytest.mark.parametrize("n", (30, 100, 500))
-def test_pruned_v12_top10_equals_scoring_every_candidate(n):
+def test_pruned_v12_top10_equals_scoring_every_candidate(n, pool_starts):
     # the search_case12_v12 benchmark truth at seed 1; its data at n = 30
-    # leaves about 12% of the candidates to score, at 500 about 0.01%
+    # leaves about 12% of the candidates to score, in a pool, and at 100
+    # and 500 at most 65,536, in-process
     truth_seed = workloads.input_seed("search_case12_v12", 1)
     truth = build_bitvector_truth(BitsConfig(**workloads.SEARCH_TRUTH), truth_seed)
     rng = RngState(derive_seed(truth_seed, 2))
@@ -110,6 +111,7 @@ def test_pruned_v12_top10_equals_scoring_every_candidate(n):
     start = time.perf_counter()
     pruned = [(r.rank, r.log_score.hex()) for r in search(patterns, cfg)]
     searched = time.perf_counter() - start
+    assert pool_starts == ([cfg.workers] if n == 30 and cfg.workers > 1 else [])
     ctx = _ScoreContext(patterns, cfg)
     ctx.bound = None  # the walk as paper_plugin runs it: every candidate scored
     start = time.perf_counter()

@@ -243,10 +243,35 @@ class TestOneUnranker:
         for rank in ranks:
             assert unrank_candidate(cfg, rank) == oracle_unrank(cfg, rank)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        (
+            CFG6,
+            CFG6_C1,
+            SearchConfig(v=6, g=3, s=2, num_types=2, mode="case12"),
+            SearchConfig(v=6, g=3, s=2, num_types=1, mode="case1"),
+            SearchConfig(v=9, g=3, s=3, num_types=2, mode="case12"),
+            SearchConfig(v=9, g=3, s=3, num_types=1, mode="case1"),
+            SearchConfig(v=12, g=4, s=3, num_types=2, mode="case12"),
+            SearchConfig(v=12, g=4, s=3, num_types=1, mode="case1"),
+        ),
+    )
+    def test_one_batched_unrank_matches_oracle(self, cfg):
+        # every rank at V=6; elsewhere the ends and an unsorted sample with
+        # repeats, across assignment patterns
+        total = candidate_count(cfg)
+        if cfg.v == 6:
+            ranks = list(range(total))
+        else:
+            ranks = [total - 1, 0, *np.random.default_rng(cfg.v).integers(total, size=2_000).tolist(), 0]
+        assert search_module._unrank(cfg, ranks) == [oracle_unrank(cfg, rank) for rank in ranks]
+
     def test_out_of_range(self):
         for rank in (-1, candidate_count(CFG6)):
             with pytest.raises(ValueError):
                 unrank_candidate(CFG6, rank)
+            with pytest.raises(ValueError):
+                search_module._unrank(CFG6, [0, rank])
 
     def test_capacity_guard_precedes_table_build(self):
         # 20P5 ordered 5-tuples x 32 cells = 59,535,360 tally cells
@@ -296,21 +321,24 @@ class TestOneUnranker:
                 pool_starts.append(len(built))
                 super().__init__(*args, **kwargs)
 
-        def counting_unrank(cfg, rank):
+        unrank = search_module._unrank
+
+        def counting_unrank(cfg, ranks):
             unranked_after.append(len(built))
-            return unrank_candidate(cfg, rank)
+            return unrank(cfg, ranks)
 
         monkeypatch.setattr(search_module, "_ENUM_TABLES", {})
         monkeypatch.setattr(search_module, "_EnumTables", CountingTables)
         monkeypatch.setattr(search_module, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(search_module, "unrank_candidate", counting_unrank)
+        monkeypatch.setattr(search_module, "_unrank", counting_unrank)
         patterns = draw_patterns(build_bitvector_truth(BitsConfig(v=8, g=4, s=2), 5), 6, 200)
         cfg = SearchConfig(v=8, g=4, s=2, mode="case12", workers=2, top_k=7)
         results = search(patterns, cfg)
-        # the tables exist before the pool starts, and the top-k unranks build none
+        # the tables exist before the pool starts, and the one unrank of the
+        # top-k builds none
         assert built == [(8, 4, 2, True)]
         assert pool_starts == [1]
-        assert unranked_after == [1] * 7
+        assert unranked_after == [1]
         assert [r.candidate for r in results] == [oracle_unrank(cfg, r.rank) for r in results]
 
 
@@ -440,24 +468,23 @@ class TestSearch:
             assert got.rank in tie_class
             assert got.log_score == pytest.approx(best, abs=1e-9)
 
-    def test_worker_count_never_changes_output(self, monkeypatch):
-        pool_starts = []
-
-        class CountingPool(search_module.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pool_starts.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(search_module, "ProcessPoolExecutor", CountingPool)
+    def test_worker_count_never_changes_output(self, pool_starts):
         # 40 candidates score in-process; 80,640 exceed the 65,536-candidate
-        # in-process limit (not the 4,096-rank scoring batch) and use a pool
-        for v, g, s, pooled in ((6, 2, 3, False), (8, 4, 2, True)):
+        # in-process limit (not the 4,096-rank scoring batch) and use a pool,
+        # unless the marginal scorer's bound leaves at most 65,536 of them to
+        # score. At n = 1 it prunes nothing, and one pool serves the search.
+        for v, g, s, scorer, n, pooled in (
+            (6, 2, 3, "paper_plugin", 200, False),
+            (8, 4, 2, "paper_plugin", 200, True),
+            (8, 4, 2, "dirichlet_marginal", 200, False),
+            (8, 4, 2, "dirichlet_marginal", 1, True),
+        ):
             truth = build_bitvector_truth(BitsConfig(v=v, g=g, s=s), 5)
-            patterns = draw_patterns(truth, 6, 200)
+            patterns = draw_patterns(truth, 6, n)
             runs = {}
             for workers in (1, 2, 8):
                 pool_starts.clear()
-                cfg = SearchConfig(v=v, g=g, s=s, mode="case12", workers=workers, top_k=7)
+                cfg = SearchConfig(v=v, g=g, s=s, mode="case12", scorer=scorer, workers=workers, top_k=7)
                 runs[workers] = [(x.rank, x.log_score) for x in search(patterns, cfg)]
                 assert pool_starts == ([workers] if pooled and workers > 1 else [])
             assert runs[1] == runs[2] == runs[8]
@@ -1051,6 +1078,13 @@ def separated_patterns(v, g, s, n, seed=40):
     return draw_patterns(truth, seed + v + 1, n)
 
 
+def partition_keys(cfg, ids):
+    """Per candidate (a row of ordered-tuple ids), its set partition: the
+    groups' variable sets as bit masks, sorted."""
+    masks = np.array([sum(1 << x for x in tup) for tup in itertools.permutations(range(cfg.v), cfg.s)])
+    return np.sort(masks[ids], axis=1)
+
+
 def set_partitions(pool, s):
     """Every partition of `pool` into sorted s-subsets."""
     if not pool:
@@ -1158,8 +1192,7 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("n", BOUND_SIZES)
     @pytest.mark.parametrize("num_types", (1, 2))
     @pytest.mark.parametrize("v, g, s", ((6, 2, 3), (8, 4, 2), (9, 3, 3)))
-    def test_top_k_equals_the_exhaustive_oracle(self, v, g, s, num_types, n, workers, top_k):
-        # V=8 with two types has 80,640 candidates, so two workers use a pool
+    def test_top_k_equals_the_exhaustive_oracle(self, v, g, s, num_types, n, workers, top_k, pool_starts):
         cfg = SearchConfig(
             v=v, g=g, s=s, num_types=num_types, mode="case12", scorer="dirichlet_marginal",
             workers=workers, top_k=top_k,
@@ -1168,6 +1201,10 @@ class TestBranchAndBound:
         oracle = gather_scores(_ScoreContext(patterns, dataclasses.replace(cfg, workers=1, top_k=10)))
         order = np.lexsort((np.arange(len(oracle)), -oracle))[:top_k]
         assert result_bits(search(patterns, cfg)) == [(int(r), float(oracle[r]).hex()) for r in order]
+        if (v, num_types, n, workers) == (8, 2, 1, 2):
+            # one sample prunes none of V=8's 80,640 two-type candidates, so
+            # two workers score them in a pool
+            assert pool_starts == [2]
 
     def test_session_over_growing_checkpoints(self):
         # the checkpoints and top-1 of a c12 curve: every one equals a fresh
@@ -1182,31 +1219,108 @@ class TestBranchAndBound:
             best = int(np.argmax(oracle))
             assert got == [(best, float(oracle[best]).hex())], n
 
-    PASS_LINE = re.compile(r"pass (\d): floor (\S+), scored (\d+) of (\d+) candidates, pruned (\d+)$")
+    PASS_LINE = re.compile(
+        r"pass (\d): floor (\S+), surviving partitions (\d+|not counted), (in-process|pool of \d+ workers), "
+        r"scored (\d+) of (\d+) candidates, pruned (\d+)$"
+    )
+    SKIP_LINE = re.compile(
+        r"pass 2 skipped: at pass 1's k-th (\S+) as many partitions survive as at its floor, (\d+)$"
+    )
 
     def passes(self, caplog, patterns, cfg):
+        """Per pass line: (pass, floor, surviving partitions or None, where, scored, of, pruned);
+        per skip line: ("skipped", k-th, surviving partitions)."""
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="latent_structure_lab.search"):
             search(patterns, cfg)
-        lines = [self.PASS_LINE.match(r.getMessage()) for r in caplog.records]
-        return [(int(m[1]), float(m[2]), int(m[3]), int(m[4]), int(m[5])) for m in lines if m]
+        out = []
+        for record in caplog.records:
+            if m := self.PASS_LINE.match(record.getMessage()):
+                count = None if m[3] == "not counted" else int(m[3])
+                out.append((int(m[1]), float(m[2]), count, m[4], int(m[5]), int(m[6]), int(m[7])))
+            elif m := self.SKIP_LINE.match(record.getMessage()):
+                out.append(("skipped", float(m[1]), int(m[2])))
+        return out
 
     def test_search_logs_each_pass(self, caplog):
         patterns = separated_patterns(9, 3, 3, 300)
         total = candidate_count(self.V9)
         # the first pass's k-th score is below its floor, so a top-k member
-        # may have been pruned, and a second pass runs from that k-th
+        # may have been pruned, and a second pass runs from that k-th; a
+        # space of at most 65,536 candidates is scored in-process uncounted
         passes = self.passes(caplog, patterns, self.V9)
-        assert [p[0] for p in passes] == [1, 2]
+        assert [(p[0], p[2], p[3]) for p in passes] == [(1, None, "in-process"), (2, None, "in-process")]
         assert passes[0][1] == _ScoreContext(patterns, self.V9).bound.floor > passes[1][1]
-        assert all(scored + pruned == count == total for _, _, scored, count, pruned in passes)
-        assert passes[1][4] > total // 2
+        assert all(scored + pruned == count == total for *_, scored, count, pruned in passes)
+        assert passes[1][6] > total // 2
         # one sample: a first pass that prunes nothing is exact
         passes = self.passes(caplog, patterns[:1], self.V9)
-        assert [(p[0], p[2], p[4]) for p in passes] == [(1, total, 0)]
+        assert [(p[0], p[4], p[6]) for p in passes] == [(1, total, 0)]
         # the exhaustive scorer runs one pass that prunes nothing
         paper = dataclasses.replace(self.V9, scorer="paper_plugin")
-        assert self.passes(caplog, patterns, paper) == [(1, -math.inf, total, total, 0)]
+        assert self.passes(caplog, patterns, paper) == [(1, -math.inf, None, "in-process", total, total, 0)]
+
+    V8 = SearchConfig(v=8, g=4, s=2, mode="case12", scorer="dirichlet_marginal", workers=2)
+
+    def test_counted_search_logs_survivors_and_where_each_pass_ran(self, caplog, pool_starts, monkeypatch):
+        # 80,640 candidates: 105 partitions of 768 candidates each
+        total = candidate_count(self.V8)
+        # one sample: every partition survives, and the one pass runs in a pool
+        passes = self.passes(caplog, separated_patterns(8, 4, 2, 1), self.V8)
+        assert [p[2:] for p in passes] == [(105, "pool of 2 workers", total, total, 0)]
+        # pass 1 scores the one partition that survives in-process; at its
+        # k-th every partition survives, so pass 2 starts the pool
+        pool_starts.clear()
+        patterns = separated_patterns(8, 4, 2, 100, seed=41)
+        passes = self.passes(caplog, patterns, self.V8)
+        assert [p[2:5] for p in passes] == [(1, "in-process", 768), (105, "pool of 2 workers", total)]
+        assert pool_starts == [2]
+        # with no candidates allowed in-process, one pool serves both passes
+        pool_starts.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(search_module, "_IN_PROCESS_MAX", 0)
+            passes = self.passes(caplog, patterns, self.V8)
+        assert [p[2:4] for p in passes] == [(1, "pool of 2 workers"), (105, "pool of 2 workers")]
+        assert pool_starts == [2]
+        # as many partitions survive at pass 1's k-th as at its floor, so
+        # pass 1 is exact and pass 2 is skipped
+        pool_starts.clear()
+        patterns = separated_patterns(8, 4, 2, 100)
+        passes = self.passes(caplog, patterns, self.V8)
+        assert [p[0] for p in passes] == [1, "skipped"]
+        assert passes[0][2:5] == (1, "in-process", 768)
+        assert passes[1][1] < search_module._threshold(passes[0][1]) and passes[1][2] == 1
+        assert pool_starts == []
+        oracle = gather_scores(_ScoreContext(patterns, self.V8))
+        order = np.lexsort((np.arange(len(oracle)), -oracle))[: self.V8.top_k]
+        assert result_bits(search(patterns, self.V8)) == [(int(r), float(oracle[r]).hex()) for r in order]
+
+    @pytest.mark.parametrize("num_types", (1, 2))
+    @pytest.mark.parametrize("v, g, s", ((6, 2, 3), (8, 4, 2), (9, 3, 3)))
+    def test_every_partition_has_the_same_number_of_candidates(self, v, g, s, num_types):
+        cfg = SearchConfig(v=v, g=g, s=s, num_types=num_types, mode="case12")
+        ids, _ = unranked_space(cfg)
+        partitions, per = np.unique(partition_keys(cfg, ids), axis=0, return_counts=True)
+        assert len(partitions) == len(list(set_partitions(tuple(range(v)), s)))
+        assert set(per.tolist()) == {candidate_count(cfg) // len(partitions)}
+
+    @pytest.mark.parametrize("num_types", (1, 2))
+    @pytest.mark.parametrize("n", (5, 30, 300))
+    @pytest.mark.parametrize("v, g, s", ((8, 4, 2), (9, 3, 3)))
+    def test_partitions_reaching_a_threshold_price_the_candidates_that_reach_it(self, v, g, s, n, num_types):
+        cfg = SearchConfig(v=v, g=g, s=s, num_types=num_types, mode="case12", scorer="dirichlet_marginal")
+        ctx = _ScoreContext(separated_patterns(v, g, s, n), cfg)
+        ids, _ = unranked_space(dataclasses.replace(cfg, scorer=SCORERS[0]))
+        bound = ctx.bound.maxll[ids].sum(axis=1) + ctx.bound.gap[ids].max(axis=1)
+        per = candidate_count(cfg) // len(list(set_partitions(tuple(range(v)), s)))
+        # thresholds between bounds that differ by more than float error
+        values = np.unique(bound)
+        wide = np.flatnonzero(np.diff(values) > 1e-6 * np.maximum(1.0, np.abs(values[1:])))
+        cuts = (values[wide] + values[wide + 1]) / 2
+        thresholds = [-math.inf, values[0] - 1.0, *cuts[:: max(1, len(cuts) // 8)], values[-1] + 1.0]
+        for threshold in thresholds:
+            count = search_module._partitions_reaching(ctx, threshold)
+            assert count * per == np.count_nonzero(bound >= threshold), threshold
 
 
 class TestSearchMemory:
